@@ -5,6 +5,7 @@ module Metrics = Wl_obs.Metrics
 module Trace = Wl_obs.Trace
 module Clock = Wl_obs.Clock
 module Saturating = Wl_util.Saturating
+module Flat = Wl_util.Flat
 
 type request = Digraph.vertex * Digraph.vertex
 
@@ -45,142 +46,282 @@ let collect_routes route requests =
   in
   go 0 [] requests
 
+(* --- per-call scratch ---------------------------------------------------------
+
+   Every kernel below sweeps topological positions [pos src .. pos dst]
+   of the dag's flat adjacency ({!Dag.csr}): only those vertices can lie
+   on a src-dst dipath.  Their working arrays live in one record that
+   each public entry point allocates for itself (select: once for all
+   its requests), so the module holds no mutable state of its own and
+   two domains may route over one dag at once.  Every sweep takes a
+   fresh epoch, and a vertex is labelled in it iff [mark] holds that
+   epoch: nothing is cleared between sweeps, and a sweep touches only
+   the vertices it reaches. *)
+
+type scratch = {
+  c : Dag.csr;
+  mutable epoch : int;
+  mark : Flat.t;
+  hops : Flat.t;  (* hops from the source (seed, bound) or to it (spur) *)
+  bott : Flat.t;  (* seed: bottleneck load *)
+  queue : Flat.t;  (* spur: BFS queue *)
+  path : Flat.t;  (* spur: the route under construction *)
+  fwd : Saturating.t array;  (* bound: #dipaths from x *)
+  rev : Saturating.t array;  (* bound: #dipaths to y *)
+  forced : int array;  (* bound: per arc, #requests forced through it *)
+}
+
+(* Only the tables of the kernels the caller runs are allocated, so a
+   one-shot public call does not pay for select's whole set.  The
+   per-vertex tables are [Flat], off the OCaml heap: on a 1600-vertex
+   network, the major-GC work that n-word heap arrays cost a single
+   [bottleneck_path] call exceeded its sweep several times over. *)
+let scratch ?(seed = false) ?(spur = false) ?(bound = false) d =
+  let n = max 1 (Dag.n_vertices d) and m = max 1 (Dag.n_arcs d) in
+  let flat on = Flat.create (if on then n else 0) in
+  let counts on =
+    if on then Array.make n Saturating.zero (* alloc-ok: per-call scratch *) else [||]
+  in
+  {
+    c = Dag.csr d;
+    epoch = 0;
+    mark = flat true;
+    hops = flat true;
+    bott = flat seed;
+    queue = flat spur;
+    path = flat spur;
+    fwd = counts bound;
+    rev = counts bound;
+    forced = (if bound then Array.make m 0 (* alloc-ok: per-call scratch *) else [||]);
+  }
+
+(* Unchecked [Flat] access, defined here so it compiles to a single load
+   or store in the sweeps below rather than a call into [Flat]. *)
+let ( .!() ) (a : Flat.t) i = Bigarray.Array1.unsafe_get a i
+let ( .!()<- ) (a : Flat.t) i v = Bigarray.Array1.unsafe_set a i v
+
+(* Positions of the endpoints a kernel is called with go through the
+   checked read, so a vertex outside the dag raises [Invalid_argument];
+   every other index comes out of the CSR tables. *)
+let pos (c : Dag.csr) v = c.pos.!(v)
+let pos_checked (c : Dag.csr) v = Flat.get c.pos v
+let at (c : Dag.csr) i = c.order.!(i)
+
+let next_epoch scr =
+  scr.epoch <- scr.epoch + 1;
+  scr.epoch
+
+(* The route in [scr.path.(0 .. len)], as a vertex array and a dipath. *)
+let path_array scr len = Array.init (len + 1) (fun i -> scr.path.!(i)) (* alloc-ok: output *)
+let route_of d scr len = Dipath.of_vertex_array (Dag.graph d) (path_array scr len)
+
+let route_buffers len =
+  (Array.make (len + 1) 0 (* alloc-ok: output *), Array.make len 0 (* alloc-ok: output *))
+
 (* --- hop-count-shortest, deterministic -------------------------------------
 
-   Distance-to-destination by reverse BFS over the allowed subgraph, then a
-   greedy forward walk always taking the smallest-numbered next vertex that
-   stays on a shortest path: among all minimum-hop dipaths this constructs
-   the lexicographically smallest vertex sequence, independent of
-   adjacency-list insertion order.  The restricted variants ([banned_v],
-   [banned_a]) are the spur routine of Yen's algorithm below. *)
+   Distance-to-destination by reverse BFS, then a greedy forward walk
+   always taking the smallest-numbered next vertex that stays on a
+   shortest path: among all minimum-hop dipaths this constructs the
+   lexicographically smallest vertex sequence, independent of adjacency
+   order.  With [banned] heads, the arcs from [spur] to them are skipped:
+   the spur routine of Yen's algorithm below, whose banned arcs all leave
+   the spur vertex.  (Yen also bans the root path's vertices; in a DAG
+   they all precede the spur vertex, outside the swept range.)
 
-let rev_dist g ~banned_v ~banned_a dst =
-  let n = Digraph.n_vertices g in
-  let dist = Array.make n (-1) in
-  dist.(dst) <- 0;
-  let queue = Queue.create () in
-  Queue.add dst queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    List.iter
-      (fun a ->
-        if not banned_a.(a) then begin
-          let u = Digraph.arc_src g a in
-          if (not banned_v.(u)) && dist.(u) < 0 then begin
-            dist.(u) <- dist.(v) + 1;
-            Queue.add u queue
-          end
-        end)
-      (Digraph.in_arcs g v)
+   [spur_dist] labels vertices at positions [>= pos spur] and stops once
+   [spur] itself is labelled: BFS has by then labelled every vertex
+   closer to [dst], which is all the walk reads. *)
+
+let spur_dist scr ~banned spur dst =
+  let c = scr.c and ep = next_epoch scr in
+  let mark = scr.mark and hops = scr.hops and queue = scr.queue in
+  let ps = pos c spur in
+  mark.!(dst) <- ep;
+  hops.!(dst) <- 0;
+  queue.!(0) <- dst;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail && mark.!(spur) <> ep do
+    let v = queue.!(!head) in
+    incr head;
+    let hv = hops.!(v) + 1 in
+    for s = c.in_off.!(v) to c.in_off.!(v + 1) - 1 do
+      let u = c.in_src.!(s) in
+      if
+        mark.!(u) <> ep
+        && pos c u >= ps
+        && not (u = spur && List.mem v banned)
+      then begin
+        mark.!(u) <- ep;
+        hops.!(u) <- hv;
+        queue.!(!tail) <- u;
+        incr tail
+      end
+    done
   done;
-  dist
+  if mark.!(spur) = ep then hops.!(spur) else -1
 
-let lex_walk g ~banned_v ~banned_a dist src dst =
-  let rec go v acc =
-    if v = dst then List.rev (v :: acc)
-    else begin
-      let best = ref (-1) in
-      List.iter
-        (fun a ->
-          if not banned_a.(a) then begin
-            let w = Digraph.arc_dst g a in
-            if
-              (not banned_v.(w))
-              && dist.(w) >= 0
-              && dist.(w) = dist.(v) - 1
-              && (!best < 0 || w < !best)
-            then best := w
-          end)
-        (Digraph.out_arcs g v);
-      go !best (v :: acc)
-    end
-  in
-  go src []
+(* After [spur_dist], write the walk into [scr.path.(from ..)]. *)
+let lex_walk scr ~banned spur dst from =
+  let c = scr.c and ep = scr.epoch in
+  let v = ref spur and k = ref from in
+  scr.path.!(from) <- spur;
+  while !v <> dst do
+    let want = scr.hops.!(!v) - 1 in
+    let best = ref max_int in
+    for s = c.out_off.!(!v) to c.out_off.!(!v + 1) - 1 do
+      let w = c.out_dst.!(s) in
+      if
+        w < !best
+        && scr.mark.!(w) = ep
+        && scr.hops.!(w) = want
+        && not (!v = spur && List.mem w banned)
+      then best := w
+    done;
+    incr k;
+    scr.path.!(!k) <- !best;
+    v := !best
+  done
 
-let restricted_shortest g ~banned_v ~banned_a src dst =
-  if src = dst then None
+(* The lex-smallest shortest route into [scr.path]; its arc count, or -1. *)
+let shortest_into scr src dst =
+  if pos_checked scr.c dst <= pos_checked scr.c src then -1
   else begin
-    let dist = rev_dist g ~banned_v ~banned_a dst in
-    if dist.(src) < 0 then None
-    else Some (Array.of_list (lex_walk g ~banned_v ~banned_a dist src dst))
+    let len = spur_dist scr ~banned:[] src dst in
+    if len >= 0 then lex_walk scr ~banned:[] src dst 0;
+    len
   end
 
 let shortest_dipath d src dst =
-  let g = Dag.graph d in
-  let banned_v = Array.make (Digraph.n_vertices g) false in
-  let banned_a = Array.make (max 1 (Digraph.n_arcs g)) false in
-  match restricted_shortest g ~banned_v ~banned_a src dst with
-  | None -> None
-  | Some verts -> Some (Dipath.make g (Array.to_list verts))
+  let scr = scratch ~spur:true d in
+  let len = shortest_into scr src dst in
+  if len < 0 then None else Some (route_of d scr len)
 
 let route_unique d requests =
   collect_routes (fun _ (x, y) -> Upp.unique_dipath d x y) requests
 
 let route_shortest d requests =
-  collect_routes (fun _ (x, y) -> shortest_dipath d x y) requests
+  let scr = scratch ~spur:true d in
+  collect_routes
+    (fun _ (x, y) ->
+      let len = shortest_into scr x y in
+      if len < 0 then None else Some (route_of d scr len))
+    requests
 
-(* --- lexicographic (bottleneck load, hop count) Dijkstra --------------------
+(* --- lexicographic (bottleneck load, hop count) labels ----------------------
 
-   Both components are monotone under arc relaxation, so the label-setting
-   argument applies.  The linear-scan extraction always settles the
-   lowest-numbered vertex among equal labels, making the result a
-   deterministic function of the graph and the load vector. *)
+   label(src) = (0, 0) and, for every other vertex w reachable from src,
+
+     label(w) = min over in-arcs (u, a) of (max bott(u) load(a), hops(u) + 1)
+
+   in lexicographic order.  These are exactly the labels a label-setting
+   Dijkstra settles: every extension is strictly larger than the label
+   it extends, so each vertex is settled after all its reachable
+   in-neighbours and keeps the minimum of their extensions.  (The labels
+   are not isotone, so they need not be the lexicographic optimum over
+   whole dipaths; the bottleneck component is.)  On a DAG one sweep in
+   topological order computes them, pushing along the out-arcs of the
+   labelled vertices only.  The route is rebuilt backwards from dst; at
+   each vertex the parent is, among the in-neighbours attaining its
+   label, the one smallest by (label, vertex id) — the one a linear-scan
+   Dijkstra settles first, and so the one it records. *)
+
+(* The labels of [src]'s sweep; the hop count of [dst]'s, or -1 when
+   [dst] is unreachable. *)
+let seed_labels scr load src dst =
+  let c = scr.c in
+  let ps = pos_checked c src and pd = pos_checked c dst in
+  if pd <= ps then -1
+  else begin
+    let ep = next_epoch scr in
+    let mark = scr.mark and bott = scr.bott and hops = scr.hops in
+    mark.!(src) <- ep;
+    bott.!(src) <- 0;
+    hops.!(src) <- 0;
+    for i = ps to pd - 1 do
+      let u = at c i in
+      if mark.!(u) = ep then begin
+        let bu = bott.!(u) and h = hops.!(u) + 1 in
+        for s = c.out_off.!(u) to c.out_off.!(u + 1) - 1 do
+          let w = c.out_dst.!(s) in
+          if pos c w <= pd then begin
+            let l = load.(c.out_arc.!(s)) in
+            let b = if l > bu then l else bu in
+            if mark.!(w) <> ep then begin
+              mark.!(w) <- ep;
+              bott.!(w) <- b;
+              hops.!(w) <- h
+            end
+            else if b < bott.!(w) || (b = bott.!(w) && h < hops.!(w)) then begin
+              bott.!(w) <- b;
+              hops.!(w) <- h
+            end
+          end
+        done
+      end
+    done;
+    if mark.!(dst) = ep then hops.!(dst) else -1
+  end
+
+(* After [seed_labels] returned [len >= 0]: the route into
+   [verts.(0 .. len)] and its arcs into [arcs.(0 .. len - 1)]. *)
+let seed_route scr load dst len verts arcs =
+  let c = scr.c and ep = scr.epoch in
+  let mark = scr.mark and bott = scr.bott and hops = scr.hops in
+  let v = ref dst in
+  for k = len downto 1 do
+    let w = !v in
+    verts.(k) <- w;
+    let best = ref (-1) and best_arc = ref (-1) in
+    for s = c.in_off.!(w) to c.in_off.!(w + 1) - 1 do
+      let u = c.in_src.!(s) in
+      if mark.!(u) = ep && hops.!(u) = k - 1 then begin
+        let a = c.in_arc.!(s) in
+        let l = load.(a) in
+        if
+          (if l > bott.!(u) then l else bott.!(u)) = bott.!(w)
+          && (!best < 0 || bott.!(u) < bott.!(!best)
+             || (bott.!(u) = bott.!(!best) && u < !best))
+        then begin
+          best := u;
+          best_arc := a
+        end
+      end
+    done;
+    arcs.(k - 1) <- !best_arc;
+    v := !best
+  done;
+  verts.(0) <- !v
 
 let bottleneck_path d load src dst =
-  let g = Dag.graph d in
-  let n = Digraph.n_vertices g in
-  let inf = (max_int, max_int) in
-  let dist = Array.make n inf in
-  let parent = Array.make n (-1) in
-  let settled = Array.make n false in
-  dist.(src) <- (0, 0);
-  let rec loop () =
-    let best = ref (-1) in
-    for v = 0 to n - 1 do
-      if (not settled.(v)) && dist.(v) < inf
-         && (!best = -1 || dist.(v) < dist.(!best))
-      then best := v
-    done;
-    if !best >= 0 then begin
-      let v = !best in
-      settled.(v) <- true;
-      if v <> dst then begin
-        List.iter
-          (fun a ->
-            let w = Digraph.arc_dst g a in
-            let bott, hops = dist.(v) in
-            let cand = (max bott load.(a), hops + 1) in
-            if cand < dist.(w) then begin
-              dist.(w) <- cand;
-              parent.(w) <- v
-            end)
-          (Digraph.out_arcs g v);
-        loop ()
-      end
-    end
-  in
-  loop ();
-  if src = dst || dist.(dst) = inf then None
+  let scr = scratch ~seed:true d in
+  let len = seed_labels scr load src dst in
+  if len < 0 then None
   else begin
-    let rec build v acc = if v = src then v :: acc else build parent.(v) (v :: acc) in
-    Some (Dipath.make g (build dst []))
+    let verts, arcs = route_buffers len in
+    seed_route scr load dst len verts arcs;
+    Some (Dipath.of_vertex_array (Dag.graph d) verts)
   end
 
 let min_load_router d =
-  let g = Dag.graph d in
-  let n = Digraph.n_vertices g in
-  let load = Array.make (max 1 (Digraph.n_arcs g)) 0 in
+  let n = Dag.n_vertices d in
+  let scr = scratch ~seed:true d in
+  let load = Array.make (max 1 (Dag.n_arcs d)) 0 (* alloc-ok: router state *) in
   fun (x, y) ->
     match check_request n 0 (x, y) with
     | Error e -> Error e
-    | Ok () -> (
-      match bottleneck_path d load x y with
-      | None ->
+    | Ok () ->
+      let len = seed_labels scr load x y in
+      if len < 0 then begin
         Metrics.incr c_unroutable;
         Error (unroutable (x, y))
-      | Some p ->
-        List.iter (fun a -> load.(a) <- load.(a) + 1) (Dipath.arcs p);
-        Ok p)
+      end
+      else begin
+        let verts, arcs = route_buffers len in
+        seed_route scr load y len verts arcs;
+        Array.iter (fun a -> load.(a) <- load.(a) + 1) arcs;
+        Ok (Dipath.of_vertex_array (Dag.graph d) verts)
+      end
 
 let route_min_load d requests =
   let router = min_load_router d in
@@ -199,8 +340,9 @@ let route_min_load d requests =
    Yen's algorithm over the (hop count, lexicographic vertex sequence)
    total order: the accepted list comes out sorted by that order,
    duplicate-free, and — because every dipath in a DAG is loopless —
-   complete whenever [k] reaches the number of src-dst dipaths.  Candidate
-   bookkeeping is plain lists of int arrays; [k] is small by design. *)
+   complete whenever [k] reaches the number of src-dst dipaths.  Routes
+   are vertex arrays; candidate bookkeeping is plain lists of them, as
+   [k] is small by design.  Each spur is one {!spur_dist} + {!lex_walk}. *)
 
 let compare_vseq (a : int array) (b : int array) =
   let c = compare (Array.length a) (Array.length b) in
@@ -214,74 +356,75 @@ let prefix_eq (a : int array) (b : int array) len =
   let rec go i = i >= len || (a.(i) = b.(i) && go (i + 1)) in
   Array.length a >= len && Array.length b >= len && go 0
 
-let k_shortest ?(k = 8) d src dst =
-  let g = Dag.graph d in
-  if k <= 0 || src = dst then []
+(* Up to [k >= 1] routes as vertex arrays, in acceptance order. *)
+let yen scr ~k src dst =
+  let len0 = shortest_into scr src dst in
+  if len0 < 0 then []
   else begin
-    let n = Digraph.n_vertices g in
-    let m = Digraph.n_arcs g in
-    let banned_v = Array.make n false in
-    let banned_a = Array.make (max 1 m) false in
-    let reset () =
-      Array.fill banned_v 0 n false;
-      Array.fill banned_a 0 (max 1 m) false
-    in
-    match restricted_shortest g ~banned_v ~banned_a src dst with
-    | None -> []
-    | Some p0 ->
-      let accepted = ref [ p0 ] in
-      let n_accepted = ref 1 in
-      let candidates = ref [] in
-      let seen c l = List.exists (fun x -> compare_vseq x c = 0) l in
-      let spur_from last =
-        let len = Array.length last in
-        for j = 0 to len - 2 do
-          reset ();
+    let p0 = path_array scr len0 in
+    let accepted = ref [ p0 ] in
+    let n_accepted = ref 1 in
+    let candidates = ref [] in
+    let spur_from last =
+      for j = 0 to Array.length last - 2 do
+        (* Accepted routes through the root path [last.(0 .. j)] may not
+           leave it by the arc they took. *)
+        let banned =
+          List.fold_left
+            (fun acc p ->
+              if Array.length p > j + 1 && prefix_eq p last (j + 1) then p.(j + 1) :: acc
+              else acc)
+            [] !accepted
+        in
+        let d = spur_dist scr ~banned last.(j) dst in
+        if d >= 0 then begin
           for t = 0 to j - 1 do
-            banned_v.(last.(t)) <- true
+            scr.path.!(t) <- last.(t)
           done;
-          List.iter
-            (fun p ->
-              if Array.length p > j + 1 && prefix_eq p last (j + 1) then
-                match Digraph.find_arc g p.(j) p.(j + 1) with
-                | Some a -> banned_a.(a) <- true
-                | None -> ())
-            !accepted;
-          match restricted_shortest g ~banned_v ~banned_a last.(j) dst with
-          | None -> ()
-          | Some tail ->
-            let c = Array.append (Array.sub last 0 j) tail in
-            if not (seen c !candidates || seen c !accepted) then
-              candidates := c :: !candidates
-        done
-      in
-      let pop_min () =
-        match !candidates with
-        | [] -> None
-        | first :: rest ->
-          let best =
-            List.fold_left
-              (fun acc c -> if compare_vseq c acc < 0 then c else acc)
-              first rest
+          lex_walk scr ~banned last.(j) dst j;
+          let len = j + d in
+          let seen p =
+            let rec go i = i > len || (p.(i) = scr.path.!(i) && go (i + 1)) in
+            Array.length p = len + 1 && go 0
           in
-          candidates :=
-            List.filter (fun c -> compare_vseq c best <> 0) !candidates;
-          Some best
-      in
-      let rec grow last =
-        if !n_accepted < k then begin
-          spur_from last;
-          match pop_min () with
-          | None -> ()
-          | Some best ->
-            accepted := best :: !accepted;
-            incr n_accepted;
-            grow best
+          if not (List.exists seen !candidates || List.exists seen !accepted)
+          then candidates := path_array scr len :: !candidates
         end
-      in
-      grow p0;
-      List.rev_map (fun verts -> Dipath.make g (Array.to_list verts)) !accepted
+      done
+    in
+    let pop_min () =
+      match !candidates with
+      | [] -> None
+      | first :: rest ->
+        let best =
+          List.fold_left
+            (fun acc c -> if compare_vseq c acc < 0 then c else acc)
+            first rest
+        in
+        candidates :=
+          List.filter (fun c -> compare_vseq c best <> 0) !candidates;
+        Some best
+    in
+    let rec grow last =
+      if !n_accepted < k then begin
+        spur_from last;
+        match pop_min () with
+        | None -> ()
+        | Some best ->
+          accepted := best :: !accepted;
+          incr n_accepted;
+          grow best
+      end
+    in
+    grow p0;
+    List.rev !accepted
   end
+
+let k_shortest ?(k = 8) d src dst =
+  if k <= 0 || src = dst then []
+  else
+    let g = Dag.graph d in
+    List.map (Dipath.of_vertex_array g) (yen (scratch ~spur:true d) ~k src dst)
 
 (* --- routing-aware lower bound ---------------------------------------------
 
@@ -296,83 +439,93 @@ let k_shortest ?(k = 8) d src dst =
    into u and a path out of v cannot intersect, so the product counts
    exactly the dipaths through the arc.  Counts saturate; a saturated
    total conservatively reads as "nothing forced", which only weakens the
-   bound, never invalidates it. *)
+   bound, never invalidates it.
 
-let lower_bound d requests =
-  let g = Dag.graph d in
-  let n = Digraph.n_vertices g in
-  let m = Digraph.n_arcs g in
+   Per request, one forward sweep over positions [pos x .. pos y] pushes
+   f = #paths(x, .) and the hop distance along the out-arcs of the
+   vertices x reaches, then one reverse sweep over those same vertices
+   gathers g = #paths(., y) and counts the forced arcs among their
+   out-arcs — node values pushed along a DAG in topological order.  No
+   other vertex can carry an x-y dipath, and when the total is
+   unsaturated so is every f(u) and g(v) on one. *)
+
+(* Adds the request's forced arcs to [scr.forced]; its hop distance, or
+   0 when [y] is unreachable. *)
+let bound_request scr x y =
+  let c = scr.c in
+  let px = pos c x and py = pos c y in
+  if py <= px then 0
+  else begin
+    let ep = next_epoch scr in
+    let mark = scr.mark and f = scr.fwd and g = scr.rev and hops = scr.hops in
+    mark.!(x) <- ep;
+    f.(x) <- Saturating.one;
+    hops.!(x) <- 0;
+    for i = px to py - 1 do
+      let u = at c i in
+      if mark.!(u) = ep then begin
+        let fu = f.(u) and h = hops.!(u) + 1 in
+        for s = c.out_off.!(u) to c.out_off.!(u + 1) - 1 do
+          let w = c.out_dst.!(s) in
+          if pos c w <= py then
+            if mark.!(w) <> ep then begin
+              mark.!(w) <- ep;
+              f.(w) <- fu;
+              hops.!(w) <- h
+            end
+            else begin
+              f.(w) <- Saturating.add f.(w) fu;
+              if h < hops.!(w) then hops.!(w) <- h
+            end
+        done
+      end
+    done;
+    if mark.!(y) <> ep then 0
+    else begin
+      let total = f.(y) in
+      if not (Saturating.is_saturated total) then begin
+        g.(y) <- Saturating.one;
+        for i = py - 1 downto px do
+          let v = at c i in
+          if mark.!(v) = ep then begin
+            let fv = f.(v) and gv = ref Saturating.zero in
+            for s = c.out_off.!(v) to c.out_off.!(v + 1) - 1 do
+              let w = c.out_dst.!(s) in
+              if pos c w <= py then begin
+                gv := Saturating.add !gv g.(w);
+                if Saturating.equal (Saturating.mul fv g.(w)) total then begin
+                  let a = c.out_arc.!(s) in
+                  scr.forced.(a) <- scr.forced.(a) + 1
+                end
+              end
+            done;
+            g.(v) <- !gv
+          end
+        done
+      end;
+      hops.!(y)
+    end
+  end
+
+(* Once per scratch: [scr.forced] accumulates from zero. *)
+let bound_with scr d requests =
+  let n = Dag.n_vertices d and m = Dag.n_arcs d in
   if requests = [] || m = 0 then 0
   else
     Trace.with_span "routing.bound" @@ fun () ->
-    let in_range (x, y) = x >= 0 && x < n && y >= 0 && y < n && x <> y in
-    let dist_cache = Hashtbl.create 8 in
-    let dist_from x =
-      match Hashtbl.find_opt dist_cache x with
-      | Some dist -> dist
-      | None ->
-        let dist = Traversal.bfs_dist g x in
-        Hashtbl.add dist_cache x dist;
-        dist
-    in
-    let total_hops =
-      List.fold_left
-        (fun acc ((x, y) as r) ->
-          if in_range r then
-            let dxy = (dist_from x).(y) in
-            if dxy > 0 then acc + dxy else acc
-          else acc)
-        0 requests
-    in
-    let volume = (total_hops + m - 1) / m in
-    let forced = Array.make m 0 in
-    let fwd_cache = Hashtbl.create 8 in
-    let fwd x =
-      match Hashtbl.find_opt fwd_cache x with
-      | Some f -> f
-      | None ->
-        let f = Dag.count_dipaths_from d x in
-        Hashtbl.add fwd_cache x f;
-        f
-    in
-    let order = Dag.topological_order d in
-    let rev_cache = Hashtbl.create 8 in
-    let rev y =
-      match Hashtbl.find_opt rev_cache y with
-      | Some gc -> gc
-      | None ->
-        let gc = Array.make n Saturating.zero in
-        gc.(y) <- Saturating.one;
-        for i = n - 1 downto 0 do
-          let v = order.(i) in
-          if v <> y then
-            List.iter
-              (fun a ->
-                let w = Digraph.arc_dst g a in
-                gc.(v) <- Saturating.add gc.(v) gc.(w))
-              (Digraph.out_arcs g v)
-        done;
-        Hashtbl.add rev_cache y gc;
-        gc
-    in
+    let total_hops = ref 0 in
     List.iter
-      (fun ((x, y) as r) ->
-        if in_range r then begin
-          let f = fwd x in
-          let total = f.(y) in
-          if Saturating.to_int total > 0 && not (Saturating.is_saturated total)
-          then begin
-            let gc = rev y in
-            Digraph.iter_arcs
-              (fun a u v ->
-                if Saturating.equal (Saturating.mul f.(u) gc.(v)) total then
-                  forced.(a) <- forced.(a) + 1)
-              g
-          end
-        end)
+      (fun (x, y) ->
+        if x >= 0 && x < n && y >= 0 && y < n then
+          total_hops := !total_hops + bound_request scr x y)
       requests;
-    let forced_max = Array.fold_left max 0 forced in
-    max volume forced_max
+    let forced_max = ref 0 in
+    for a = 0 to m - 1 do
+      if scr.forced.(a) > !forced_max then forced_max := scr.forced.(a)
+    done;
+    max ((!total_hops + m - 1) / m) !forced_max
+
+let lower_bound d requests = bound_with (scratch ~bound:true d) d requests
 
 (* --- the full routing stage: enumerate, seed, search ------------------------ *)
 
@@ -394,7 +547,7 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
   let g = Dag.graph d in
   let n = Digraph.n_vertices g in
   let m = Digraph.n_arcs g in
-  let reqs = Array.of_list requests in
+  let reqs = Array.of_list requests (* alloc-ok: request parsing *) in
   let nr = Array.length reqs in
   Metrics.add c_requests nr;
   let rec validate i =
@@ -404,73 +557,84 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
       | Error e -> Error e
       | Ok () -> validate (i + 1)
   in
-  match validate 0 with
+  let valid =
+    if k <= 0 then
+      Error (Error.Precondition (Printf.sprintf "select: k = %d, need k >= 1" k))
+    else validate 0
+  in
+  match valid with
   | Error e -> Error e
   | Ok () -> (
+    let scr = scratch ~seed:true ~spur:true ~bound:true d in
     (* Phase 1: k alternatives per request (Yen, deterministic). *)
-    let alts = Array.make nr [||] in
+    let alts = Array.make nr [||] (* alloc-ok: per-call scratch *) in
     let failure = ref None in
     Trace.with_span "routing.kshortest" (fun () ->
         Array.iteri
           (fun i (x, y) ->
             if !failure = None then begin
-              match k_shortest ~k d x y with
+              match yen scr ~k x y with
               | [] ->
                 Metrics.incr c_unroutable;
                 failure := Some (unroutable ~index:i (x, y))
               | l ->
                 Metrics.observe h_alternatives (List.length l);
-                alts.(i) <- Array.of_list l
+                alts.(i) <- Array.of_list (List.map (Dipath.of_vertex_array g) l) (* alloc-ok: output *)
             end)
           reqs);
     match !failure with
     | Some e -> Error e
     | None ->
-      (* Phase 2: greedy seed by the bottleneck Dijkstra.  The seed route
+      (* Phase 2: greedy seed by the bottleneck labels.  The seed route
          joins the request's alternative set when Yen's cutoff missed it,
-         so the search space always contains the seed. *)
-      let load = Array.make (max 1 m) 0 in
-      let chosen = Array.make nr 0 in
+         so the search space always contains the seed.  Routes from one
+         source are equal iff their arc sequences are. *)
+      let load = Array.make (max 1 m) 0 (* alloc-ok: per-call scratch *) in
+      let chosen = Array.make nr 0 (* alloc-ok: per-call scratch *) in
       Trace.with_span "routing.seed" (fun () ->
           Array.iteri
             (fun i (x, y) ->
-              let p =
-                match bottleneck_path d load x y with
-                | Some p -> p
-                | None -> alts.(i).(0)
-              in
+              let len = seed_labels scr load x y in
               let idx =
-                let found = ref (-1) in
-                Array.iteri
-                  (fun j q -> if !found < 0 && Dipath.equal p q then found := j)
-                  alts.(i);
-                if !found >= 0 then !found
+                if len < 0 then 0
                 else begin
-                  alts.(i) <- Array.append alts.(i) [| p |];
-                  Array.length alts.(i) - 1
+                  let verts, arcs = route_buffers len in
+                  seed_route scr load y len verts arcs;
+                  let rec find j =
+                    if j >= Array.length alts.(i) then begin
+                      let p = Dipath.of_vertex_array g verts in
+                      alts.(i) <- Array.append alts.(i) [| p |] (* alloc-ok: output *);
+                      j
+                    end
+                    else if Dipath.unsafe_arc_array alts.(i).(j) = arcs then j
+                    else find (j + 1)
+                  in
+                  find 0
                 end
               in
               chosen.(i) <- idx;
-              List.iter
+              Array.iter
                 (fun a -> load.(a) <- load.(a) + 1)
-                (Dipath.arcs alts.(i).(idx)))
+                (Dipath.unsafe_arc_array alts.(i).(idx)))
             reqs);
       (* Load-level histogram: cnt.(l) = #arcs at load l.  The search
          objective (max load, #arcs attaining it) reads off it in O(1)
          and swap trials update it in O(path length). *)
-      let cnt = Array.make (nr + 1) 0 in
-      Array.iter (fun l -> cnt.(l) <- cnt.(l) + 1) (Array.sub load 0 m);
+      let cnt = Array.make (nr + 1) 0 (* alloc-ok: per-call scratch *) in
       let cur_max = ref 0 in
-      Array.iter (fun l -> if l > !cur_max then cur_max := l) load;
+      for a = 0 to m - 1 do
+        cnt.(load.(a)) <- cnt.(load.(a)) + 1;
+        if load.(a) > !cur_max then cur_max := load.(a)
+      done;
       let seed_load = !cur_max in
       let apply p delta =
-        List.iter
+        Array.iter
           (fun a ->
             cnt.(load.(a)) <- cnt.(load.(a)) - 1;
             load.(a) <- load.(a) + delta;
             cnt.(load.(a)) <- cnt.(load.(a)) + 1;
             if load.(a) > !cur_max then cur_max := load.(a))
-          (Dipath.arcs p);
+          (Dipath.unsafe_arc_array p);
         while !cur_max > 0 && cnt.(!cur_max) = 0 do
           decr cur_max
         done
@@ -512,7 +676,7 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
       let n_alternatives =
         Array.fold_left (fun acc a -> acc + Array.length a) 0 alts
       in
-      let lb = lower_bound d requests in
+      let lb = bound_with scr d requests in
       Metrics.observe_ns l_select (Clock.now_ns () - t0);
       Ok
         {
@@ -532,7 +696,7 @@ let instance_of_selection d sel = Instance.of_array d sel.routes
 (* --- request files ---------------------------------------------------------- *)
 
 let requests_to_string requests =
-  let b = Buffer.create 64 in
+  let b = Buffer.create 64 (* alloc-ok: output *) in
   Buffer.add_string b "wlreq 1\n";
   List.iter
     (fun (x, y) -> Buffer.add_string b (Printf.sprintf "req %d %d\n" x y))
@@ -584,9 +748,9 @@ let route_multicast_tree d root =
   let g = Dag.graph d in
   let n = Digraph.n_vertices g in
   (* BFS parents rooted at the source. *)
-  let parent = Array.make n (-1) in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
+  let parent = Array.make n (-1) (* alloc-ok: per-call scratch *) in
+  let seen = Array.make n false (* alloc-ok: per-call scratch *) in
+  let queue = Queue.create () (* alloc-ok: per-call scratch *) in
   seen.(root) <- true;
   Queue.add root queue;
   while not (Queue.is_empty queue) do
@@ -619,7 +783,7 @@ let random_requests rng d k =
   match all_to_all d with
   | [] -> []
   | pairs ->
-    let arr = Array.of_list pairs in
+    let arr = Array.of_list pairs (* alloc-ok: request generation *) in
     List.init k (fun _ -> Wl_util.Prng.choose rng arr)
 
 let instance_of d route requests =

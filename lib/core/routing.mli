@@ -4,7 +4,7 @@
     module supplies the routing stage that chooses one.  The full pipeline
     ({!select}) is k-shortest dipath enumeration per request (Yen's
     algorithm over the DAG, deterministic tie-breaking), a greedy seed by
-    the lexicographic bottleneck Dijkstra ({!bottleneck_path}), then local
+    lexicographic bottleneck labels ({!bottleneck_path}), then local
     search swapping single requests across their [k] alternatives until the
     maximum arc load stops improving.  The chosen family feeds
     {!Solver.solve} / the engine directly, and {!lower_bound} gives the
@@ -72,11 +72,20 @@ val bottleneck_path :
   Dipath.t option
 (** [bottleneck_path d load src dst]: a dipath whose bottleneck — the
     maximum of [load.(a)] over its arcs — is minimum over all [src]-[dst]
-    dipaths, computed by a label-setting Dijkstra on (bottleneck, hops)
-    labels.  The hop component only breaks ties between labels (one label
-    per vertex cannot certify hop-minimality among min-bottleneck paths);
-    the bottleneck value itself is exact.  [load] is indexed by arc id and
-    is not modified.  This is the greedy seeding rule of {!select}. *)
+    dipaths.  Vertices carry (bottleneck, hops) labels, computed by one
+    dynamic-programming sweep in topological order over the positions
+    between [src] and [dst]:
+    [label(w) = min over in-arcs (u, a) of (max bott(u) load.(a), hops(u) + 1)].
+    These are exactly the labels a label-setting Dijkstra on (bottleneck,
+    hops) settles, and the route is the one it records: rebuilt backwards
+    from [dst], each vertex's parent is the in-neighbour attaining its
+    label that is smallest by (label, vertex id).  The hop component only
+    breaks ties between labels (one label per vertex cannot certify
+    hop-minimality among min-bottleneck paths); the bottleneck value
+    itself is exact.  O(arcs leaving the vertices [src] reaches within
+    that range), plus one pass over the range.  [load] is indexed by arc
+    id and is not modified.  [None] when [dst] is unreachable or
+    [src = dst].  This is the greedy seeding rule of {!select}. *)
 
 val compare_route : Dipath.t -> Dipath.t -> int
 (** The total order of the enumeration: hop count, ties by lexicographic
@@ -89,7 +98,9 @@ val k_shortest :
     lexicographically-smallest shortest path as the spur routine, so the
     output is a deterministic function of the graph.  Duplicate-free, and
     complete (every dipath appears) when [k] is at least the number of
-    [src]-[dst] dipaths.  [[]] when unreachable or [src = dst]. *)
+    [src]-[dst] dipaths.  [[]] when unreachable or [src = dst].  [k] must
+    be at least 1: [k <= 0] asks for no route and returns [[]] ({!select}
+    rejects it with [Precondition]). *)
 
 val lower_bound : Wl_dag.Dag.t -> request list -> int
 (** A routing-aware lower bound on the maximum arc load of {e any} routing
@@ -103,6 +114,14 @@ val lower_bound : Wl_dag.Dag.t -> request list -> int
     {- the forced-arc bound: the largest number of requests all of whose
        dipaths traverse one common arc (detected by saturating path
        counting; a saturated count conservatively reads as avoidable).}}
+
+    Computed per request by range sweeps over the topological positions
+    between its endpoints: a forward sweep from [x] (dipath counts
+    [f(x, .)] and hop distances, over the vertices [x] reaches) and a
+    reverse sweep over the same vertices (counts [g(., y)], and the arcs
+    with [f(x, u) * g(v, y) = f(x, y)], which are forced).  The tables
+    are allocated once per call and reused across requests, so the
+    allocation does not grow with the number of requests.
 
     Unroutable requests contribute nothing (the bound stays valid for the
     routable sub-multiset). *)
@@ -136,9 +155,9 @@ val select :
     alternative whenever that strictly lowers (max arc load, number of arcs
     attaining it); stop after a sweep with no improvement or [max_rounds]
     (default 64) sweeps.  Strict descent guarantees
-    [max_load <= seed_load].  Deterministic.  Errors: [Bad_index] for a
-    request vertex outside the graph, [Invalid_path] for an unroutable
-    request (including [x = y]). *)
+    [max_load <= seed_load].  Deterministic.  Errors: [Precondition] for
+    [k <= 0], [Bad_index] for a request vertex outside the graph,
+    [Invalid_path] for an unroutable request (including [x = y]). *)
 
 val instance_of_selection : Wl_dag.Dag.t -> selection -> Instance.t
 (** Wrap the chosen family, in request order, as an instance (the input to

@@ -1,5 +1,17 @@
 open Wl_digraph
 module Saturating = Wl_util.Saturating
+module Flat = Wl_util.Flat
+
+type csr = {
+  out_off : Flat.t;
+  out_dst : Flat.t;
+  out_arc : Flat.t;
+  in_off : Flat.t;
+  in_src : Flat.t;
+  in_arc : Flat.t;
+  order : Flat.t;
+  pos : Flat.t;
+}
 
 type t = {
   g : Digraph.t;
@@ -8,6 +20,9 @@ type t = {
   mutable arc_order : int array option;
       (* cache for [arcs_by_tail_topo]: a pure function of the dag, and
          every solver run starts by asking for it *)
+  mutable csr : csr option;
+      (* cache for [csr]: built on first use; two domains racing to fill
+         it build equal values, so either write may win *)
 }
 
 let of_digraph g =
@@ -16,7 +31,7 @@ let of_digraph g =
     let topo = Array.of_list order in
     let pos = Array.make (Digraph.n_vertices g) 0 in
     Array.iteri (fun i v -> pos.(v) <- i) topo;
-    Ok { g; topo; pos; arc_order = None }
+    Ok { g; topo; pos; arc_order = None; csr = None }
   | None ->
     let cycle =
       match Traversal.find_directed_cycle g with
@@ -125,3 +140,49 @@ let arcs_by_tail_topo d =
   in
   (* Callers own their copy; the cache must stay pristine. *)
   Array.copy order
+
+(* Each direction is one counting sort over the arc ids.  Arcs are
+   numbered in insertion order and every adjacency [Vec] is appended in
+   that order, so ascending arc ids within a slice reproduce
+   [Digraph.out_arcs] / [Digraph.in_arcs] exactly. *)
+let build_csr d =
+  let n = n_vertices d and m = n_arcs d in
+  (* Slices keyed by [key a], holding the neighbour [other a]. *)
+  let rows key other =
+    let off = Array.make (n + 1) 0 and nbr = Array.make m 0 and arc = Array.make m 0 in
+    for a = 0 to m - 1 do
+      let v = key a in
+      off.(v + 1) <- off.(v + 1) + 1
+    done;
+    for v = 1 to n do
+      off.(v) <- off.(v) + off.(v - 1)
+    done;
+    let next = Array.sub off 0 n in
+    for a = 0 to m - 1 do
+      let v = key a in
+      nbr.(next.(v)) <- other a;
+      arc.(next.(v)) <- a;
+      next.(v) <- next.(v) + 1
+    done;
+    (Flat.of_array off, Flat.of_array nbr, Flat.of_array arc)
+  in
+  let out_off, out_dst, out_arc = rows (Digraph.arc_src d.g) (Digraph.arc_dst d.g) in
+  let in_off, in_src, in_arc = rows (Digraph.arc_dst d.g) (Digraph.arc_src d.g) in
+  {
+    out_off;
+    out_dst;
+    out_arc;
+    in_off;
+    in_src;
+    in_arc;
+    order = Flat.of_array d.topo;
+    pos = Flat.of_array d.pos;
+  }
+
+let csr d =
+  match d.csr with
+  | Some c -> c
+  | None ->
+    let c = build_csr d in
+    d.csr <- Some c;
+    c

@@ -60,6 +60,33 @@ val all_dipaths_between :
 (** Enumerate the dipaths from [src] to [dst] (at most [limit] of them,
     default 64) in lexicographic successor order. *)
 
+(** {1 Flat adjacency}
+
+    The kernels that sweep a DAG in topological order (the routing
+    stage) read adjacency from flat int tables rather than
+    [Digraph.out_arcs]'s freshly built lists. *)
+
+type csr = private {
+  out_off : Wl_util.Flat.t;
+      (** length [n + 1]: the out-arcs of [v] are the slots
+          [out_off.(v) .. out_off.(v + 1) - 1] *)
+  out_dst : Wl_util.Flat.t;  (** head of each out slot *)
+  out_arc : Wl_util.Flat.t;  (** arc id of each out slot *)
+  in_off : Wl_util.Flat.t;  (** length [n + 1], as [out_off] for in-arcs *)
+  in_src : Wl_util.Flat.t;  (** tail of each in slot *)
+  in_arc : Wl_util.Flat.t;  (** arc id of each in slot *)
+  order : Wl_util.Flat.t;  (** the topological order, sources first *)
+  pos : Wl_util.Flat.t;  (** [pos.(v)]: position of [v] in [order] *)
+}
+(** Compressed sparse rows of both adjacency directions.  Within a
+    vertex's slice, slots follow [Digraph] insertion order (ascending arc
+    id), the order of {!Wl_digraph.Digraph.out_arcs} and
+    {!Wl_digraph.Digraph.in_arcs}. *)
+
+val csr : t -> csr
+(** Built on the first call and cached with the dag (O(n + m) once);
+    callers must not write to the tables. *)
+
 val arcs_by_tail_topo : t -> Digraph.arc array
 (** All arc ids sorted by topological position of their tail (ties broken by
     arc id).  Scanning this array in reverse and inserting arcs one by one

@@ -16,6 +16,10 @@ val of_vertices : Digraph.t -> Digraph.vertex list -> (t, string) result
 val make : Digraph.t -> Digraph.vertex list -> t
 (** {!of_vertices}, raising [Invalid_argument] on invalid input. *)
 
+val of_vertex_array : Digraph.t -> Digraph.vertex array -> t
+(** {!make} from an array (copied), for callers that build the vertex
+    sequence in a buffer. *)
+
 val of_arcs : Digraph.t -> Digraph.arc list -> t
 (** Builds a dipath from a non-empty chain of arc ids (each arc's head must
     be the next arc's tail). *)

@@ -3,7 +3,9 @@
    The solver core (theorem1.ml), DSATUR (coloring.ml) and the engine
    (engine.ml) promise gc.minor_w = 0 on their warm paths; every
    allocation primitive they do contain lives on a cold path — session
-   construction, capacity growth, cold queries.  This lint enforces that
+   construction, capacity growth, cold queries.  The routing stage
+   (routing.ml) allocates per call and per output route, never per
+   swept vertex or arc.  This lint enforces that
    each such line says so: any line matching an allocation primitive
    must carry an [alloc-ok] comment marker, so a new allocation cannot
    slip into these files without a visible, reviewable claim that it is

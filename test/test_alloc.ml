@@ -135,6 +135,22 @@ let test_engine_warm_ops_zero_alloc () =
     (let h = Engine.health session in
      h.Engine.add_latency.Wl_obs.Hdr.count)
 
+(* The routing lower bound sweeps every request through the same per-call
+   scratch, so what it allocates is per call, not per request: doubling
+   the request list leaves the minor-word count where it was. *)
+let test_lower_bound_alloc_per_call () =
+  let rng = Wl_util.Prng.create 11 in
+  let dag = Wl_netgen.Generators.gnp_no_internal_cycle rng 400 (8.0 /. 400.) in
+  let requests k = Wl_core.Routing.random_requests rng dag k in
+  let r200 = requests 200 and r400 = requests 400 in
+  let bound r () = ignore (Wl_core.Routing.lower_bound dag r) in
+  bound r200 ();
+  let w200 = minor_delta (bound r200) and w400 = minor_delta (bound r400) in
+  check
+    (Printf.sprintf "400 requests: %.0f minor words, 200: %.0f" w400 w200)
+    true
+    (w400 -. w200 < 1000.)
+
 (* --- the gate's allocation arm ---------------------------------------------- *)
 
 let point ?alloc_w name median =
@@ -212,6 +228,8 @@ let suite =
           test_thm1_warm_solve_zero_alloc;
         Alcotest.test_case "engine warm ops zero-alloc" `Quick
           test_engine_warm_ops_zero_alloc;
+        Alcotest.test_case "routing lower bound allocates per call" `Quick
+          test_lower_bound_alloc_per_call;
         Alcotest.test_case "gate flags alloc regressions" `Quick
           test_gate_alloc_regression;
         Alcotest.test_case "gate skips unmeasured alloc" `Quick

@@ -219,6 +219,19 @@ let test_select_beats_seed_on_hotspot () =
     check "never worse than seed" true
       (sel.Routing.max_load <= sel.Routing.seed_load)
 
+let test_select_nonpositive_k () =
+  let g = Digraph.of_arcs 3 [ (0, 1); (1, 2) ] in
+  let dag = Dag.of_digraph_exn g in
+  List.iter
+    (fun k ->
+      match Routing.select ~k dag [ (0, 2) ] with
+      | Error (Error.Precondition _ as e) ->
+        check_int "Precondition exit code" 70 (Error.exit_code e)
+      | Error e -> Alcotest.failf "k = %d: wrong error %s" k (Error.to_string e)
+      | Ok _ -> Alcotest.failf "k = %d accepted" k)
+    [ 0; -1 ];
+  check "k_shortest with k = 0 is empty" true (Routing.k_shortest ~k:0 dag 0 2 = [])
+
 let test_select_bad_index () =
   let g = Digraph.of_arcs 3 [ (0, 1); (1, 2) ] in
   let dag = Dag.of_digraph_exn g in
@@ -234,6 +247,309 @@ let test_lower_bound_forced_arc () =
   let dag = Dag.of_digraph_exn g in
   check_int "forced bridge" 3
     (Routing.lower_bound dag [ (0, 4); (1, 5); (0, 5) ])
+
+(* --- reference implementations -----------------------------------------
+
+   The routing kernels sweep the dag's topological order over its flat
+   adjacency.  These are the straightforward formulations they must
+   agree with exactly, route for route: a label-setting Dijkstra with
+   linear-scan extraction for the bottleneck seed, Yen's algorithm with a
+   whole-graph reverse BFS and explicit banned-vertex/banned-arc sets for
+   k-shortest, and per-endpoint BFS / path-count tables for the lower
+   bound.  Adjacency comes from [Digraph]'s lists. *)
+
+module Ref = struct
+  module Saturating = Wl_util.Saturating
+
+  let bottleneck_path d load src dst =
+    let g = Dag.graph d in
+    let n = Digraph.n_vertices g in
+    let inf = (max_int, max_int) in
+    let dist = Array.make n inf in
+    let parent = Array.make n (-1) in
+    let settled = Array.make n false in
+    dist.(src) <- (0, 0);
+    let rec loop () =
+      let best = ref (-1) in
+      for v = 0 to n - 1 do
+        if (not settled.(v)) && dist.(v) < inf
+           && (!best = -1 || dist.(v) < dist.(!best))
+        then best := v
+      done;
+      if !best >= 0 then begin
+        let v = !best in
+        settled.(v) <- true;
+        if v <> dst then begin
+          List.iter
+            (fun a ->
+              let w = Digraph.arc_dst g a in
+              let bott, hops = dist.(v) in
+              let cand = (max bott load.(a), hops + 1) in
+              if cand < dist.(w) then begin
+                dist.(w) <- cand;
+                parent.(w) <- v
+              end)
+            (Digraph.out_arcs g v);
+          loop ()
+        end
+      end
+    in
+    loop ();
+    if src = dst || dist.(dst) = inf then None
+    else begin
+      let rec build v acc =
+        if v = src then v :: acc else build parent.(v) (v :: acc)
+      in
+      Some (Dipath.make g (build dst []))
+    end
+
+  let rev_dist g ~banned_v ~banned_a dst =
+    let dist = Array.make (Digraph.n_vertices g) (-1) in
+    dist.(dst) <- 0;
+    let queue = Queue.create () in
+    Queue.add dst queue;
+    while not (Queue.is_empty queue) do
+      let v = Queue.pop queue in
+      List.iter
+        (fun a ->
+          let u = Digraph.arc_src g a in
+          if (not banned_a.(a)) && (not banned_v.(u)) && dist.(u) < 0 then begin
+            dist.(u) <- dist.(v) + 1;
+            Queue.add u queue
+          end)
+        (Digraph.in_arcs g v)
+    done;
+    dist
+
+  let restricted_shortest g ~banned_v ~banned_a src dst =
+    if src = dst then None
+    else begin
+      let dist = rev_dist g ~banned_v ~banned_a dst in
+      if dist.(src) < 0 then None
+      else begin
+        let rec walk v acc =
+          if v = dst then List.rev (v :: acc)
+          else begin
+            let best = ref (-1) in
+            List.iter
+              (fun a ->
+                let w = Digraph.arc_dst g a in
+                if
+                  (not banned_a.(a)) && (not banned_v.(w)) && dist.(w) >= 0
+                  && dist.(w) = dist.(v) - 1
+                  && (!best < 0 || w < !best)
+                then best := w)
+              (Digraph.out_arcs g v);
+            walk !best (v :: acc)
+          end
+        in
+        Some (Array.of_list (walk src []))
+      end
+    end
+
+  let compare_vseq (a : int array) b =
+    let c = compare (Array.length a) (Array.length b) in
+    if c <> 0 then c else compare a b
+
+  let k_shortest ~k d src dst =
+    let g = Dag.graph d in
+    let n = Digraph.n_vertices g and m = max 1 (Digraph.n_arcs g) in
+    let banned_v = Array.make n false and banned_a = Array.make m false in
+    match restricted_shortest g ~banned_v ~banned_a src dst with
+    | None -> []
+    | Some p0 ->
+      let accepted = ref [ p0 ] and candidates = ref [] in
+      let seen c l = List.exists (fun x -> compare_vseq x c = 0) l in
+      let rec grow last =
+        if List.length !accepted < k then begin
+          for j = 0 to Array.length last - 2 do
+            Array.fill banned_v 0 n false;
+            Array.fill banned_a 0 m false;
+            for t = 0 to j - 1 do
+              banned_v.(last.(t)) <- true
+            done;
+            List.iter
+              (fun p ->
+                if Array.length p > j + 1 && Array.sub p 0 (j + 1) = Array.sub last 0 (j + 1)
+                then
+                  match Digraph.find_arc g p.(j) p.(j + 1) with
+                  | Some a -> banned_a.(a) <- true
+                  | None -> ())
+              !accepted;
+            match restricted_shortest g ~banned_v ~banned_a last.(j) dst with
+            | None -> ()
+            | Some tail ->
+              let c = Array.append (Array.sub last 0 j) tail in
+              if not (seen c !candidates || seen c !accepted) then
+                candidates := c :: !candidates
+          done;
+          match List.sort compare_vseq !candidates with
+          | [] -> ()
+          | best :: rest ->
+            candidates := rest;
+            accepted := best :: !accepted;
+            grow best
+        end
+      in
+      grow p0;
+      List.rev_map (fun v -> Dipath.make g (Array.to_list v)) !accepted
+
+  let lower_bound d requests =
+    let g = Dag.graph d in
+    let n = Digraph.n_vertices g and m = Digraph.n_arcs g in
+    if requests = [] || m = 0 then 0
+    else begin
+      let ok (x, y) = x >= 0 && x < n && y >= 0 && y < n && x <> y in
+      let cached tbl f x =
+        match Hashtbl.find_opt tbl x with
+        | Some v -> v
+        | None ->
+          let v = f x in
+          Hashtbl.add tbl x v;
+          v
+      in
+      let dist = cached (Hashtbl.create 8) (Traversal.bfs_dist g) in
+      let fwd = cached (Hashtbl.create 8) (Dag.count_dipaths_from d) in
+      let order = Dag.topological_order d in
+      let rev =
+        cached (Hashtbl.create 8) (fun y ->
+            let gc = Array.make n Saturating.zero in
+            gc.(y) <- Saturating.one;
+            for i = n - 1 downto 0 do
+              let v = order.(i) in
+              if v <> y then
+                List.iter
+                  (fun w -> gc.(v) <- Saturating.add gc.(v) gc.(w))
+                  (Digraph.succ g v)
+            done;
+            gc)
+      in
+      let hops =
+        List.fold_left
+          (fun acc ((x, y) as r) ->
+            if ok r && (dist x).(y) > 0 then acc + (dist x).(y) else acc)
+          0 requests
+      in
+      let forced = Array.make m 0 in
+      List.iter
+        (fun ((x, y) as r) ->
+          if ok r then begin
+            let f = fwd x in
+            let total = f.(y) in
+            if Saturating.to_int total > 0 && not (Saturating.is_saturated total)
+            then
+              Digraph.iter_arcs
+                (fun a u v ->
+                  if Saturating.equal (Saturating.mul f.(u) (rev y).(v)) total then
+                    forced.(a) <- forced.(a) + 1)
+                g
+          end)
+        requests;
+      max ((hops + m - 1) / m) (Array.fold_left max 0 forced)
+    end
+end
+
+let same_routes ps qs = List.equal Dipath.equal ps qs
+
+let same_route p q =
+  match (p, q) with
+  | Some p, Some q -> Dipath.equal p q
+  | None, None -> true
+  | _ -> false
+
+(* Every ordered pair of the dag, unreachable ones and x = x included. *)
+let all_pairs d =
+  let n = Dag.n_vertices d in
+  List.concat (List.init n (fun x -> List.init n (fun y -> (x, y))))
+
+(* Half the graphs have internal cycles, half none; loads from {0, 1, 2}
+   make bottleneck ties the common case. *)
+let diff_dag rng =
+  let n = 5 + Prng.int rng 10 in
+  let p = 0.15 +. Prng.float rng 0.35 in
+  if Prng.bool rng then Generators.gnp_dag rng n p
+  else Generators.gnp_no_internal_cycle rng n p
+
+let bottleneck_matches_reference =
+  qtest "bottleneck_path = label-setting Dijkstra, route for route" seed_gen
+    ~count:80 (fun seed ->
+      let rng = Prng.create seed in
+      let dag = diff_dag rng in
+      let load = Array.init (max 1 (Dag.n_arcs dag)) (fun _ -> Prng.int rng 3) in
+      List.for_all
+        (fun (x, y) ->
+          same_route (Routing.bottleneck_path dag load x y)
+            (Ref.bottleneck_path dag load x y))
+        (all_pairs dag))
+
+(* The seed as select runs it: each route's arcs are charged before the
+   next request is routed, so the loads are the ones the kernel meets. *)
+let seed_sequence_matches_reference =
+  qtest "bottleneck seeding sequence = reference under charged loads" seed_gen
+    ~count:60 (fun seed ->
+      let rng = Prng.create seed in
+      let dag = diff_dag rng in
+      let requests = Routing.random_requests rng dag 30 in
+      let load = Array.make (max 1 (Dag.n_arcs dag)) 0 in
+      List.for_all
+        (fun (x, y) ->
+          let p = Routing.bottleneck_path dag load x y in
+          let ok = same_route p (Ref.bottleneck_path dag load x y) in
+          Option.iter
+            (fun p -> List.iter (fun a -> load.(a) <- load.(a) + 1) (Dipath.arcs p))
+            p;
+          ok)
+        requests)
+
+let k_shortest_matches_reference =
+  qtest "k_shortest = list-based Yen, route for route" seed_gen ~count:60
+    (fun seed ->
+      let rng = Prng.create seed in
+      let dag = diff_dag rng in
+      let k = 1 + Prng.int rng 6 in
+      List.for_all
+        (fun (x, y) ->
+          same_routes (Routing.k_shortest ~k dag x y) (Ref.k_shortest ~k dag x y))
+        (all_pairs dag))
+
+let lower_bound_matches_reference =
+  qtest "lower_bound = per-endpoint table bound" seed_gen ~count:80 (fun seed ->
+      let rng = Prng.create seed in
+      let dag = diff_dag rng in
+      let n = Dag.n_vertices dag in
+      (* unreachable pairs, x = x and out-of-range vertices included *)
+      let requests =
+        List.init (1 + Prng.int rng 25) (fun _ ->
+            (Prng.int rng (n + 1), Prng.int rng (n + 1)))
+      in
+      Routing.lower_bound dag requests = Ref.lower_bound dag requests)
+
+(* Two complete layered blocks joined by one bridge arc: across the
+   bridge the dipath counts pass Saturating.cap, so those totals read as
+   "nothing forced" while short requests around the bridge are forced
+   through it. *)
+let test_lower_bound_saturated () =
+  let width = 4 and layers = 34 in
+  let g = Digraph.create () in
+  let block () =
+    let v = Array.init layers (fun _ -> Array.init width (fun _ -> Digraph.add_vertex g)) in
+    for l = 0 to layers - 2 do
+      Array.iter (fun u -> Array.iter (fun w -> ignore (Digraph.add_arc g u w)) v.(l + 1)) v.(l)
+    done;
+    v
+  in
+  let a = block () and b = block () in
+  ignore (Digraph.add_arc g a.(layers - 1).(0) b.(0).(0));
+  let dag = Dag.of_digraph_exn g in
+  let far = (a.(0).(0), b.(layers - 1).(0)) in
+  let near = (a.(layers - 1).(0), b.(1).(2)) in
+  check "far total saturates" true
+    (Wl_util.Saturating.is_saturated (Dag.count_dipaths dag (fst far) (snd far)));
+  let requests = [ far; far; far; near; (a.(layers - 2).(1), b.(0).(0)) ] in
+  let lb = Routing.lower_bound dag requests in
+  check_int "reference agrees" (Ref.lower_bound dag requests) lb;
+  check_int "saturated requests are not counted as forced" 2 lb;
+  check_int "alone they force nothing" 1 (Routing.lower_bound dag [ far; far; far ])
 
 let test_requests_roundtrip () =
   let reqs = [ (0, 5); (2, 7); (2, 7) ] in
@@ -356,6 +672,14 @@ let suite =
           test_select_beats_seed_on_hotspot;
         Alcotest.test_case "select rejects bad vertex" `Quick
           test_select_bad_index;
+        Alcotest.test_case "select rejects k <= 0" `Quick
+          test_select_nonpositive_k;
+        bottleneck_matches_reference;
+        seed_sequence_matches_reference;
+        k_shortest_matches_reference;
+        lower_bound_matches_reference;
+        Alcotest.test_case "lower bound with saturated counts" `Quick
+          test_lower_bound_saturated;
         Alcotest.test_case "lower bound sees forced arc" `Quick
           test_lower_bound_forced_arc;
         Alcotest.test_case "request file roundtrip" `Quick
