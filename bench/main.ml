@@ -288,7 +288,8 @@ let e9 () =
   (* Line instances: both exact solvers agree; greedy may lag. *)
   let rng = Prng.create 31 in
   let line n =
-    Wl_digraph.Digraph.of_arcs n (List.init (n - 1) (fun i -> (i, i + 1)))
+    Wl_digraph.Digraph.of_arcs n ~src:(Array.init (n - 1) Fun.id)
+      ~dst:(Array.init (n - 1) succ)
   in
   List.iter
     (fun (k, w) ->
@@ -362,7 +363,8 @@ let e10 () =
   List.iter
     (fun (n, k) ->
       let g =
-        Wl_digraph.Digraph.of_arcs n (List.init (n - 1) (fun i -> (i, i + 1)))
+        Wl_digraph.Digraph.of_arcs n ~src:(Array.init (n - 1) Fun.id)
+          ~dst:(Array.init (n - 1) succ)
       in
       let dag = Wl_dag.Dag.of_digraph_exn g in
       let paths =

@@ -67,7 +67,8 @@ let () =
     rng ~batch_size:8 ~n_batches:10;
   let line =
     Wl_dag.Dag.of_digraph_exn
-      (Wl_digraph.Digraph.of_arcs 30 (List.init 29 (fun i -> (i, i + 1))))
+      (Wl_digraph.Digraph.of_arcs 30 ~src:(Array.init 29 Fun.id)
+         ~dst:(Array.init 29 succ))
   in
   run_scenario "metro line, uniform lightpaths" line Traffic.uniform rng
     ~batch_size:15 ~n_batches:8;

@@ -154,15 +154,12 @@ let engine_arm n =
    solvable instance.  The achieved bounds ride along as extras so the
    trajectory records not just how fast the stage is but how good its
    routing was (seed vs final vs lower bound). *)
-let route_arm n =
-  let n_requests = n / 8 in
-  let rng = Prng.create (20260808 + n) in
-  let dag = Generators.gnp_no_internal_cycle rng n (8.0 /. float_of_int n) in
-  let requests = Wl_netgen.Traffic.uniform rng dag n_requests in
+let route_arm (dag, requests) =
+  let n = Wl_dag.Dag.n_vertices dag in
   let last = ref None in
   {
     name = Printf.sprintf "route/n=%d" n;
-    params = [ ("n", n); ("requests", n_requests); ("k", 4) ];
+    params = [ ("n", n); ("requests", List.length requests); ("k", 4) ];
     run =
       (fun () ->
         match Routing.select ~k:4 dag requests with
@@ -181,6 +178,35 @@ let route_arm n =
           ]);
   }
 
+(* The network and request set of the routing arms: generated once for
+   both, as the 1600-vertex network alone takes about 12 s. *)
+let route_network n =
+  let rng = Prng.create (20260808 + n) in
+  let dag = Generators.gnp_no_internal_cycle rng n (8.0 /. float_of_int n) in
+  (dag, Wl_netgen.Traffic.uniform rng dag (n / 8))
+
+(* What a `wl route` op does before routing: read the route arm's
+   network and requests back from their text forms. *)
+let parse_arm (dag, requests) =
+  let inst_text = Serial.to_string (Instance.make dag []) in
+  let req_text = Routing.requests_to_string requests in
+  {
+    name = Printf.sprintf "parse/n=%d" (Wl_dag.Dag.n_vertices dag);
+    params =
+      [
+        ("n", Wl_dag.Dag.n_vertices dag);
+        ("arcs", Wl_dag.Dag.n_arcs dag);
+        ("requests", List.length requests);
+        ("bytes", String.length inst_text + String.length req_text);
+      ];
+    run =
+      (fun () ->
+        ignore (Serial.of_string inst_text);
+        ignore (Routing.requests_of_string req_text));
+    baseline = None;
+    extras = no_extras;
+  }
+
 let suite ?(quick = false) () =
   if quick then
     [
@@ -190,8 +216,10 @@ let suite ?(quick = false) () =
       conflict_arm 60;
       load_arm 120;
       engine_arm 120;
-      route_arm 120;
     ]
+    @
+    let net = route_network 120 in
+    [ route_arm net; parse_arm net ]
   else
     [
       thm1_arm 400;
@@ -200,8 +228,10 @@ let suite ?(quick = false) () =
       conflict_arm 150;
       load_arm 400;
       engine_arm 400;
-      route_arm 1600;
     ]
+    @
+    let net = route_network 1600 in
+    [ route_arm net; parse_arm net ]
 
 let busy_wait ns =
   let t0 = Wl_obs.Clock.now_ns () in

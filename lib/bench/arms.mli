@@ -22,7 +22,9 @@ val suite : ?quick:bool -> unit -> arm list
     add/query/remove cycle through the prebuilt-dipath hot entries, and
     the full routing stage ([route/n=...]: {!Wl_core.Routing.select} over
     a fixed uniform request set, with the seed/final/lower-bound loads as
-    extras).  [quick] (default false) switches to smaller instances under
+    extras) and its parse stage ([parse/n=...]: {!Wl_core.Serial.of_string}
+    and {!Wl_core.Routing.requests_of_string} on the same network and
+    requests as text).  [quick] (default false) switches to smaller instances under
     different bench names — for smoke tests and CI. *)
 
 val with_handicap : ns:int -> string -> arm list -> arm list

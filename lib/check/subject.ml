@@ -29,7 +29,11 @@ let to_parts t =
 let of_parts p =
   if p.n_vertices < 0 then None
   else
-    match Digraph.of_arcs p.n_vertices p.arcs with
+    match
+      Digraph.of_arcs p.n_vertices
+        ~src:(Array.of_list (List.map fst p.arcs))
+        ~dst:(Array.of_list (List.map snd p.arcs))
+    with
     | exception Invalid_argument _ -> None
     | g -> (
       match Instance.of_vertex_seqs g p.paths with

@@ -703,37 +703,34 @@ let requests_to_string requests =
     requests;
   Buffer.contents b
 
+(* The next token, as an integer. *)
+let next_int sc =
+  ignore (Scan.next_token sc);
+  match Scan.int sc with v -> Some v | exception Scan.Not_int -> None
+
 let requests_of_string s =
-  let err line msg = Error (Error.Parse { line; msg }) in
-  let lines = String.split_on_char '\n' s in
-  let rec go lineno first acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      let line =
-        match String.index_opt line '#' with
-        | Some i -> String.sub line 0 i
-        | None -> line
-      in
-      let tokens =
-        String.split_on_char ' ' (String.trim line)
-        |> List.filter (fun t -> t <> "")
-      in
-      match tokens with
-      | [] -> go (lineno + 1) first acc rest
-      | [ "wlreq"; v ] -> (
-        if not first then err lineno "wlreq header must come first"
-        else
-          match int_of_string_opt v with
-          | Some 1 -> go (lineno + 1) false acc rest
-          | Some v when v > 1 -> Error (Error.Unsupported_version v)
-          | _ -> err lineno "malformed wlreq header")
-      | [ "req"; x; y ] -> (
-        match (int_of_string_opt x, int_of_string_opt y) with
-        | Some x, Some y -> go (lineno + 1) false ((x, y) :: acc) rest
-        | _ -> err lineno "expected 'req X Y' with integer vertices")
-      | tok :: _ -> err lineno (Printf.sprintf "unknown directive %S" tok))
+  let sc = Scan.create s in
+  let err msg = Error (Error.Parse { line = Scan.line sc; msg }) in
+  let rec go first acc =
+    if not (Scan.next_line sc) then Ok (List.rev acc)
+    else if not (Scan.next_token sc) then go first acc
+    else if Scan.is sc "req" && Scan.tokens sc = 3 then begin
+      let x = next_int sc in
+      let y = next_int sc in
+      match (x, y) with
+      | Some x, Some y -> go false ((x, y) :: acc)
+      | _ -> err "expected 'req X Y' with integer vertices"
+    end
+    else if Scan.is sc "wlreq" && Scan.tokens sc = 2 then
+      if not first then err "wlreq header must come first"
+      else
+        match next_int sc with
+        | Some 1 -> go false acc
+        | Some v when v > 1 -> Error (Error.Unsupported_version v)
+        | _ -> err "malformed wlreq header"
+    else err (Printf.sprintf "unknown directive %S" (Scan.token sc))
   in
-  go 1 true [] lines
+  go true []
 
 let read_requests_file path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -34,113 +34,168 @@ let to_string ?(version = current_version) inst =
   body_to_buffer buf inst;
   Buffer.contents buf
 
-type parse_state = {
-  mutable version : int option;
-  mutable graph : Digraph.t option;
-  mutable paths_rev : (int * int list) list; (* line, vertex sequence *)
+(* --- text reader -------------------------------------------------------------
+
+   One pass of [Scan] over the text.  Arcs are only collected on the way,
+   their ends in growable int arrays; [Digraph.of_arcs] builds the graph
+   once the text is read.  The first error in file order wins: when a
+   line fails, an arc that [Digraph.add_arc] would have rejected on an
+   earlier line is reported instead. *)
+
+type ints = { mutable a : int array; mutable len : int }
+
+let ints () = { a = [||]; len = 0 }
+
+let push b x =
+  if b.len = Array.length b.a then begin
+    let a = Array.make (max 64 (2 * b.len)) 0 in
+    Array.blit b.a 0 a 0 b.len;
+    b.a <- a
+  end;
+  Array.unsafe_set b.a b.len x;
+  b.len <- b.len + 1
+
+let contents b = Array.sub b.a 0 b.len
+
+type reader = {
+  sc : Scan.t;
+  mutable version : int; (* 0 before a 'wl' header *)
+  mutable n : int; (* vertex count; -1 before 'dag' *)
+  src : ints;
+  dst : ints;
+  mutable labels_rev : (Digraph.vertex * string) list;
+  mutable paths_rev : (int * Digraph.vertex array) list; (* line, vertices *)
 }
 
-let of_string text =
-  let st = { version = None; graph = None; paths_rev = [] } in
-  let err lineno msg = Error (Error.Parse { line = lineno; msg }) in
-  let lines = String.split_on_char '\n' text in
-  let parse_int lineno s =
-    match int_of_string_opt s with
-    | Some v -> Ok v
-    | None -> err lineno (Printf.sprintf "not an integer: %S" s)
-  in
-  let finish () =
-    match st.graph with
-    | None -> Error (Error.Parse { line = 0; msg = "missing 'dag <n>' header" })
-    | Some g -> (
+exception Fail of Error.t
+
+let fail r msg = raise (Fail (Error.Parse { line = Scan.line r.sc; msg }))
+
+let shape r ok expected = if not ok then fail r ("expected '" ^ expected ^ "'")
+
+(* The next token, as an integer. *)
+let int r =
+  ignore (Scan.next_token r.sc);
+  try Scan.int r.sc
+  with Scan.Not_int -> fail r (Printf.sprintf "not an integer: %S" (Scan.token r.sc))
+
+(* A line's directive, its first token current.  Each checks its shape
+   (token count) first, then its conditions in a fixed order: the order
+   decides which error a bad line reports. *)
+let directive r =
+  let sc = r.sc in
+  if Scan.is sc "arc" then begin
+    shape r (Scan.tokens sc = 3) "arc U V";
+    if r.n < 0 then fail r "'arc' before 'dag'";
+    let u = int r in
+    let v = int r in
+    push r.src u;
+    push r.dst v
+  end
+  else if Scan.is sc "path" then begin
+    if r.n < 0 then fail r "'path' before 'dag'";
+    let verts = Array.make (Scan.tokens sc - 1) 0 in
+    for i = 0 to Array.length verts - 1 do
+      verts.(i) <- int r
+    done;
+    r.paths_rev <- (Scan.line sc, verts) :: r.paths_rev
+  end
+  else if Scan.is sc "vlabel" then begin
+    shape r (Scan.tokens sc = 3) "vlabel V NAME";
+    if r.n < 0 then fail r "'vlabel' before 'dag'";
+    let v = int r in
+    if v < 0 || v >= r.n then fail r "vertex out of range";
+    ignore (Scan.next_token sc);
+    r.labels_rev <- (v, Scan.token sc) :: r.labels_rev
+  end
+  else if Scan.is sc "dag" then begin
+    shape r (Scan.tokens sc = 2) "dag N";
+    let n = int r in
+    if r.n >= 0 then fail r "duplicate 'dag' header";
+    if n < 0 then fail r "vertex count must be non-negative";
+    r.n <- n
+  end
+  else if Scan.is sc "wl" then begin
+    shape r (Scan.tokens sc = 2) "wl N";
+    let v = int r in
+    if r.version > 0 then fail r "duplicate 'wl' header";
+    if r.n >= 0 then fail r "'wl' header must come before 'dag'";
+    if v < 1 || v > current_version then raise (Fail (Error.Unsupported_version v));
+    r.version <- v
+  end
+  else fail r (Printf.sprintf "unknown directive %S" (Scan.token sc))
+
+(* [Digraph.of_arcs], or else the first arc it rejects (by id) with
+   [Digraph.add_arc]'s message for it. *)
+let graph_of_arcs n ~src ~dst =
+  match Digraph.of_arcs n ~src ~dst with
+  | g -> Ok g
+  | exception Invalid_argument _ ->
+    let g = Digraph.create () in
+    Digraph.add_vertices g n;
+    let rec first a =
+      if a >= Array.length src then Ok g
+      else
+        match Digraph.add_arc g src.(a) dst.(a) with
+        | _ -> first (a + 1)
+        | exception Invalid_argument msg -> Error (a, msg)
+    in
+    first 0
+
+(* The line of arc [a]: the text's [a]-th 'arc' line (from 0), as every
+   line before the reader stopped was read whole. *)
+let line_of_arc text a =
+  let sc = Scan.create text and seen = ref (-1) in
+  while !seen < a && Scan.next_line sc do
+    if Scan.next_token sc && Scan.is sc "arc" then incr seen
+  done;
+  Scan.line sc
+
+let graph_of_reader text r =
+  match graph_of_arcs (max r.n 0) ~src:(contents r.src) ~dst:(contents r.dst) with
+  | Ok g -> Ok g
+  | Error (a, msg) -> Error (Error.Parse { line = line_of_arc text a; msg })
+
+let finish text r =
+  if r.n < 0 then Error (Error.Parse { line = 0; msg = "missing 'dag <n>' header" })
+  else
+    match graph_of_reader text r with
+    | Error e -> Error e
+    | Ok g -> (
+      List.iter (fun (v, l) -> Digraph.set_label g v l) (List.rev r.labels_rev);
       match Dag.of_digraph g with
       | Error msg -> Error (Error.Cyclic msg)
       | Ok dag ->
         let rec build acc = function
           | [] -> Ok (Instance.make dag (List.rev acc))
-          | (lineno, verts) :: rest -> (
-            match Dipath.of_vertices g verts with
-            | Ok p -> build (p :: acc) rest
-            | Error msg ->
-              Error
-                (Error.Invalid_path (Printf.sprintf "line %d: bad path: %s" lineno msg)))
+          | (line, verts) :: rest -> (
+            match Dipath.of_vertex_array g verts with
+            | p -> build (p :: acc) rest
+            | exception Invalid_argument msg ->
+              Error (Error.Invalid_path (Printf.sprintf "line %d: bad path: %s" line msg)))
         in
-        build [] (List.rev st.paths_rev))
-  in
-  let rec go lineno = function
-    | [] -> finish ()
-    | line :: rest -> (
-      let line =
-        match String.index_opt line '#' with
-        | Some i -> String.sub line 0 i
-        | None -> line
-      in
-      let words =
-        String.split_on_char ' ' (String.trim line)
-        |> List.filter (fun w -> w <> "")
-      in
-      match words with
-      | [] -> go (lineno + 1) rest
-      | "wl" :: [ v ] -> (
-        match parse_int lineno v with
-        | Error e -> Error e
-        | Ok v ->
-          if st.version <> None then err lineno "duplicate 'wl' header"
-          else if st.graph <> None then err lineno "'wl' header must come before 'dag'"
-          else if v < 1 || v > current_version then Error (Error.Unsupported_version v)
-          else begin
-            st.version <- Some v;
-            go (lineno + 1) rest
-          end)
-      | "dag" :: [ n ] -> (
-        match parse_int lineno n with
-        | Error e -> Error e
-        | Ok n ->
-          if st.graph <> None then err lineno "duplicate 'dag' header"
-          else begin
-            let g = Digraph.create () in
-            Digraph.add_vertices g n;
-            st.graph <- Some g;
-            go (lineno + 1) rest
-          end)
-      | "vlabel" :: i :: name :: [] -> (
-        match (st.graph, parse_int lineno i) with
-        | None, _ -> err lineno "'vlabel' before 'dag'"
-        | _, Error e -> Error e
-        | Some g, Ok i ->
-          if i < 0 || i >= Digraph.n_vertices g then err lineno "vertex out of range"
-          else begin
-            Digraph.set_label g i name;
-            go (lineno + 1) rest
-          end)
-      | "arc" :: u :: [ v ] -> (
-        match (st.graph, parse_int lineno u, parse_int lineno v) with
-        | None, _, _ -> err lineno "'arc' before 'dag'"
-        | _, Error e, _ | _, _, Error e -> Error e
-        | Some g, Ok u, Ok v -> (
-          match Digraph.add_arc g u v with
-          | _ -> go (lineno + 1) rest
-          | exception Invalid_argument msg -> err lineno msg))
-      | "path" :: verts -> (
-        if st.graph = None then err lineno "'path' before 'dag'"
-        else
-          let rec ints acc = function
-            | [] -> Ok (List.rev acc)
-            | w :: ws -> (
-              match parse_int lineno w with
-              | Ok v -> ints (v :: acc) ws
-              | Error e -> Error e)
-          in
-          match ints [] verts with
-          | Error e -> Error e
-          | Ok vs ->
-            st.paths_rev <- (lineno, vs) :: st.paths_rev;
-            go (lineno + 1) rest)
-      | word :: _ -> err lineno (Printf.sprintf "unknown directive %S" word))
-  in
-  go 1 lines
+        build [] (List.rev r.paths_rev))
 
-let of_string_exn text = Error.get_exn (of_string text)
+let of_string text =
+  let r =
+    {
+      sc = Scan.create text;
+      version = 0;
+      n = -1;
+      src = ints ();
+      dst = ints ();
+      labels_rev = [];
+      paths_rev = [];
+    }
+  in
+  match
+    while Scan.next_line r.sc do
+      if Scan.next_token r.sc then directive r
+    done
+  with
+  | () -> finish text r
+  | exception Fail e -> (
+    match graph_of_reader text r with Error earlier -> Error earlier | Ok _ -> Error e)
 
 (* --- JSON mirror ----------------------------------------------------------- *)
 
@@ -251,19 +306,12 @@ let of_json text =
             match paths_json with
             | Error e -> Error e
             | Ok paths -> (
-              let g = Digraph.create () in
-              Digraph.add_vertices g n;
-              let rec add_arcs = function
-                | [] -> Ok ()
-                | (u, v) :: rest -> (
-                  match Digraph.add_arc g u v with
-                  | _ -> add_arcs rest
-                  | exception Invalid_argument msg ->
-                    json_err (Printf.sprintf "arc [%d, %d]: %s" u v msg))
-              in
-              match add_arcs arcs with
-              | Error e -> Error e
-              | Ok () -> (
+              let arcs = Array.of_list arcs in
+              let src = Array.map fst arcs and dst = Array.map snd arcs in
+              match graph_of_arcs n ~src ~dst with
+              | Error (a, msg) ->
+                json_err (Printf.sprintf "arc [%d, %d]: %s" src.(a) dst.(a) msg)
+              | Ok g -> (
                 (match Jsonx.member "labels" json with
                 | None -> Ok ()
                 | Some (Jsonx.Obj fields) ->

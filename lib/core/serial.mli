@@ -34,17 +34,22 @@ val to_string : ?version:int -> Instance.t -> string
     [version] (valid: 1 or {!current_version}). *)
 
 val of_string : string -> (Instance.t, Error.t) result
-(** Parses the text format, either version.  Errors: [Parse] with the
-    offending 1-based line number, [Unsupported_version] for a [wl N] header
-    beyond {!current_version}, [Cyclic] when the arcs close a directed cycle,
-    [Invalid_path] when a [path] line is not a dipath of the graph. *)
+(** Parses the text format, either version, in one pass ({!Scan} gives
+    the exact tokenization: ['#'] cuts the line, [String.trim]'s
+    whitespace is stripped, tokens are separated by runs of spaces).
+    Integers are read as [int_of_string] reads them: plain decimals, and
+    also a sign, [_] separators and the [0x]/[0o]/[0b] prefixes.
 
-val of_string_exn : string -> Instance.t
-(** Raises {!Error.Error}.
-    @deprecated Use {!of_string} — one result-typed form per operation is
-    the API rule since the service split (see the table in {!module:Wl});
-    this twin remains only for legacy callers and will go in the next
-    major version. *)
+    Errors: [Parse] with the offending 1-based line number (a directive
+    with the wrong number of arguments names its shape, e.g.
+    [expected 'arc U V']; a negative [dag] count is rejected),
+    [Unsupported_version] for a [wl N] header outside [1 ..
+    {!current_version}], [Cyclic] when the arcs close a directed cycle,
+    [Invalid_path] when a [path] line is not a dipath of the graph.  The
+    first error in file order wins: an arc rejected as out of range,
+    a self-loop or a duplicate reports its own line even when a later
+    line also fails.  [Cyclic] and [Invalid_path] are only reported once
+    every line has been read. *)
 
 val to_json : ?pretty:bool -> Instance.t -> string
 (** Renders the JSON mirror (always the current version). *)

@@ -15,23 +15,94 @@ type csr = {
 
 type t = {
   g : Digraph.t;
-  topo : Digraph.vertex array;
-  pos : int array;
+  csr : csr;
   mutable arc_order : int array option;
       (* cache for [arcs_by_tail_topo]: a pure function of the dag, and
          every solver run starts by asking for it *)
-  mutable csr : csr option;
-      (* cache for [csr]: built on first use; two domains racing to fill
-         it build equal values, so either write may win *)
 }
 
+(* Unchecked [Flat] access, defined here so it compiles to a single load
+   or store rather than a call into [Flat]. *)
+let ( .!() ) (a : Flat.t) i = Bigarray.Array1.unsafe_get a i
+let ( .!()<- ) (a : Flat.t) i v = Bigarray.Array1.unsafe_set a i v
+
+(* The slices of vertex [key.(a)] hold [other.(a)] and [a]: one counting
+   sort over the arc ids.  Arcs are numbered in insertion order, so
+   ascending arc ids within a slice reproduce [Digraph.out_arcs] /
+   [Digraph.in_arcs] exactly. *)
+let rows n key other =
+  let m = Array.length key in
+  let off = Flat.create (n + 1) and nbr = Flat.create m and arc = Flat.create m in
+  for a = 0 to m - 1 do
+    let v = key.(a) + 1 in
+    off.!(v) <- off.!(v) + 1
+  done;
+  for v = 1 to n do
+    off.!(v) <- off.!(v) + off.!(v - 1)
+  done;
+  (* [off.(v)] serves as the fill cursor of slice [v], which leaves it at
+     the slice's end, the start of slice [v + 1]: shift back after. *)
+  for a = 0 to m - 1 do
+    let v = key.(a) in
+    let s = off.!(v) in
+    nbr.!(s) <- other.(a);
+    arc.!(s) <- a;
+    off.!(v) <- s + 1
+  done;
+  for v = n downto 1 do
+    off.!(v) <- off.!(v - 1)
+  done;
+  off.!(0) <- 0;
+  (off, nbr, arc)
+
+(* Kahn's algorithm over the out-rows: a FIFO seeded with the sources in
+   ascending id order, successors released in arc-id order — the order
+   [Traversal.topological_order] produces.  The queue ends up holding the
+   order itself; [None] when a cycle leaves vertices unreleased.  [indeg]
+   is scratch of length [n]. *)
+let kahn n ~out_off ~out_dst ~in_off ~indeg =
+  let order = Flat.create n in
+  let tail = ref 0 in
+  for v = 0 to n - 1 do
+    let d = in_off.!(v + 1) - in_off.!(v) in
+    indeg.!(v) <- d;
+    if d = 0 then begin
+      order.!(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = order.!(!head) in
+    incr head;
+    for s = out_off.!(v) to out_off.!(v + 1) - 1 do
+      let w = out_dst.!(s) in
+      let d = indeg.!(w) - 1 in
+      indeg.!(w) <- d;
+      if d = 0 then begin
+        order.!(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  if !tail = n then Some order else None
+
 let of_digraph g =
-  match Traversal.topological_order g with
+  let n = Digraph.n_vertices g and src, dst = Digraph.arc_ends g in
+  let out_off, out_dst, out_arc = rows n src dst in
+  let in_off, in_src, in_arc = rows n dst src in
+  let pos = Flat.create n in
+  match kahn n ~out_off ~out_dst ~in_off ~indeg:pos with
   | Some order ->
-    let topo = Array.of_list order in
-    let pos = Array.make (Digraph.n_vertices g) 0 in
-    Array.iteri (fun i v -> pos.(v) <- i) topo;
-    Ok { g; topo; pos; arc_order = None; csr = None }
+    for i = 0 to n - 1 do
+      pos.!(order.!(i)) <- i
+    done;
+    Ok
+      {
+        g;
+        csr = { out_off; out_dst; out_arc; in_off; in_src; in_arc; order; pos };
+        arc_order = None;
+      }
   | None ->
     let cycle =
       match Traversal.find_directed_cycle g with
@@ -47,38 +118,40 @@ let graph d = d.g
 let n_vertices d = Digraph.n_vertices d.g
 let n_arcs d = Digraph.n_arcs d.g
 
-let topological_order d = Array.copy d.topo
-let topo_position d v = d.pos.(v)
-let compare_topo d u v = Int.compare d.pos.(u) d.pos.(v)
+let topological_order d = Flat.to_array d.csr.order
+let topo_position d v = Flat.get d.csr.pos v
+let compare_topo d u v = Int.compare (topo_position d u) (topo_position d v)
 
-let sources d =
-  Array.to_list d.topo |> List.filter (fun v -> Digraph.in_degree d.g v = 0)
-
-let sinks d =
-  Array.to_list d.topo |> List.filter (fun v -> Digraph.out_degree d.g v = 0)
+let topo_filter d keep = List.filter keep (Array.to_list (topological_order d))
+let sources d = topo_filter d (fun v -> Digraph.in_degree d.g v = 0)
+let sinks d = topo_filter d (fun v -> Digraph.out_degree d.g v = 0)
 
 let longest_path_length d =
+  let c = d.csr in
   let n = n_vertices d in
   let dist = Array.make n 0 in
   (* Process in reverse topological order: dist v = 1 + max over succ. *)
   for i = n - 1 downto 0 do
-    let v = d.topo.(i) in
-    List.iter
-      (fun w -> if dist.(w) + 1 > dist.(v) then dist.(v) <- dist.(w) + 1)
-      (Digraph.succ d.g v)
+    let v = c.order.!(i) in
+    for s = c.out_off.!(v) to c.out_off.!(v + 1) - 1 do
+      let w = c.out_dst.!(s) in
+      if dist.(w) + 1 > dist.(v) then dist.(v) <- dist.(w) + 1
+    done
   done;
   Array.fold_left max 0 dist
 
 let count_dipaths_from d v =
+  let c = d.csr in
   let n = n_vertices d in
   let count = Array.make n Saturating.zero in
   count.(v) <- Saturating.one;
-  for i = d.pos.(v) to n - 1 do
-    let u = d.topo.(i) in
+  for i = topo_position d v to n - 1 do
+    let u = c.order.!(i) in
     if not (Saturating.equal count.(u) Saturating.zero) then
-      List.iter
-        (fun w -> count.(w) <- Saturating.add count.(w) count.(u))
-        (Digraph.succ d.g u)
+      for s = c.out_off.!(u) to c.out_off.!(u + 1) - 1 do
+        let w = c.out_dst.!(s) in
+        count.(w) <- Saturating.add count.(w) count.(u)
+      done
   done;
   count
 
@@ -120,10 +193,11 @@ let arcs_by_tail_topo d =
       (* Counting sort on tail positions (stable, so arc ids stay ascending
          within a position).  The polymorphic tuple sort this replaces
          dominated entire Theorem 1 solve runs at n >= 1000. *)
-      let m = n_arcs d and n = n_vertices d in
+      let n = n_vertices d and pos = d.csr.pos and src, _ = Digraph.arc_ends d.g in
+      let m = Array.length src in
       let cnt = Array.make (n + 1) 0 in
       for a = 0 to m - 1 do
-        let p = d.pos.(Digraph.arc_src d.g a) in
+        let p = pos.!(src.(a)) in
         cnt.(p + 1) <- cnt.(p + 1) + 1
       done;
       for p = 1 to n do
@@ -131,7 +205,7 @@ let arcs_by_tail_topo d =
       done;
       let out = Array.make m 0 in
       for a = 0 to m - 1 do
-        let p = d.pos.(Digraph.arc_src d.g a) in
+        let p = pos.!(src.(a)) in
         out.(cnt.(p)) <- a;
         cnt.(p) <- cnt.(p) + 1
       done;
@@ -141,48 +215,4 @@ let arcs_by_tail_topo d =
   (* Callers own their copy; the cache must stay pristine. *)
   Array.copy order
 
-(* Each direction is one counting sort over the arc ids.  Arcs are
-   numbered in insertion order and every adjacency [Vec] is appended in
-   that order, so ascending arc ids within a slice reproduce
-   [Digraph.out_arcs] / [Digraph.in_arcs] exactly. *)
-let build_csr d =
-  let n = n_vertices d and m = n_arcs d in
-  (* Slices keyed by [key a], holding the neighbour [other a]. *)
-  let rows key other =
-    let off = Array.make (n + 1) 0 and nbr = Array.make m 0 and arc = Array.make m 0 in
-    for a = 0 to m - 1 do
-      let v = key a in
-      off.(v + 1) <- off.(v + 1) + 1
-    done;
-    for v = 1 to n do
-      off.(v) <- off.(v) + off.(v - 1)
-    done;
-    let next = Array.sub off 0 n in
-    for a = 0 to m - 1 do
-      let v = key a in
-      nbr.(next.(v)) <- other a;
-      arc.(next.(v)) <- a;
-      next.(v) <- next.(v) + 1
-    done;
-    (Flat.of_array off, Flat.of_array nbr, Flat.of_array arc)
-  in
-  let out_off, out_dst, out_arc = rows (Digraph.arc_src d.g) (Digraph.arc_dst d.g) in
-  let in_off, in_src, in_arc = rows (Digraph.arc_dst d.g) (Digraph.arc_src d.g) in
-  {
-    out_off;
-    out_dst;
-    out_arc;
-    in_off;
-    in_src;
-    in_arc;
-    order = Flat.of_array d.topo;
-    pos = Flat.of_array d.pos;
-  }
-
-let csr d =
-  match d.csr with
-  | Some c -> c
-  | None ->
-    let c = build_csr d in
-    d.csr <- Some c;
-    c
+let csr d = d.csr

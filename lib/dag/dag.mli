@@ -9,8 +9,11 @@ open Wl_digraph
 type t
 
 val of_digraph : Digraph.t -> (t, string) result
-(** Fails with a description (including a directed-cycle witness) when the
-    graph is not acyclic. *)
+(** Builds the flat adjacency ({!csr}) and takes the topological order
+    from Kahn's algorithm over it: sources queued in ascending id order,
+    successors released in arc-id order.  O(n + m).  Fails with a
+    description (including a directed-cycle witness) when the graph is
+    not acyclic. *)
 
 val of_digraph_exn : Digraph.t -> t
 (** Raises [Invalid_argument] on a cyclic graph.
@@ -84,8 +87,8 @@ type csr = private {
     {!Wl_digraph.Digraph.in_arcs}. *)
 
 val csr : t -> csr
-(** Built on the first call and cached with the dag (O(n + m) once);
-    callers must not write to the tables. *)
+(** Built with the dag by {!of_digraph}, whose topological sort runs over
+    these rows; callers must not write to the tables. *)
 
 val arcs_by_tail_topo : t -> Digraph.arc array
 (** All arc ids sorted by topological position of their tail (ties broken by

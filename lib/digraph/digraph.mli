@@ -4,7 +4,7 @@
     ids [0 .. n_arcs - 1] in insertion order.  The structure is append-only:
     algorithms that conceptually delete arcs (the Theorem 1 peeling, the
     generator repair loops) either work over arc orderings or rebuild a graph
-    from a filtered arc list ({!of_arcs}/{!arcs}) — this keeps every id
+    from filtered arc arrays ({!of_arcs}) — this keeps every id
     stable, which the dipath and load machinery depends on.
 
     Optional string labels support readable DOT output and the text format. *)
@@ -30,9 +30,15 @@ val add_arc : t -> vertex -> vertex -> arc
     Raises [Invalid_argument] if [u = v], if either endpoint is not a vertex,
     or if the arc already exists. *)
 
-val of_arcs : ?labels:string array -> int -> (vertex * vertex) list -> t
-(** [of_arcs n arcs] builds a graph on [n] vertices with the given arcs,
-    assigning arc ids in list order. *)
+val of_arcs : ?labels:string array -> int -> src:vertex array -> dst:vertex array -> t
+(** [of_arcs n ~src ~dst] builds a graph on [n] vertices whose arc [a] is
+    [src.(a) -> dst.(a)]: the graph that [add_arc] calls in id order
+    would build, in one pass.  The graph takes the two arrays over as its
+    arc storage: the caller must not modify them afterwards.
+
+    Raises [Invalid_argument] if [n < 0], if the arrays' lengths differ,
+    if [labels] does not have [n] entries, or as [add_arc] would on the
+    first offending arc. *)
 
 val copy : t -> t
 
@@ -44,6 +50,10 @@ val n_arcs : t -> int
 val arc_src : t -> arc -> vertex
 val arc_dst : t -> arc -> vertex
 val arc_endpoints : t -> arc -> vertex * vertex
+
+val arc_ends : t -> vertex array * vertex array
+(** Fresh arrays [(src, dst)] with arc [a] = [src.(a) -> dst.(a)]: the
+    arguments {!of_arcs} would rebuild the graph from. *)
 
 val find_arc : t -> vertex -> vertex -> arc option
 (** Arc id of [u -> v], if present. *)

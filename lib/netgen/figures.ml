@@ -52,7 +52,8 @@ let fig3 () =
     Digraph.of_arcs
       ~labels:[| "a1"; "b1"; "c1"; "d1"; "e1" |]
       5
-      [ (0, 1); (1, 2); (2, 3); (3, 4); (1, 3) ]
+      ~src:[| 0; 1; 2; 3; 1 |]
+      ~dst:[| 1; 2; 3; 4; 3 |]
   in
   let dag = Dag.of_digraph_exn g in
   let p l = Dipath.make g l in

@@ -42,9 +42,11 @@ let layered rng ~layers ~width ~p =
   Dag.of_digraph_exn g
 
 let rebuild_without g dropped =
-  let keep = Digraph.fold_arcs (fun a u v acc -> if List.mem a dropped then acc else (u, v) :: acc) g [] in
+  let keep = List.filter (fun a -> not (List.mem a dropped)) (List.init (Digraph.n_arcs g) Fun.id) in
+  let ends f = Array.of_list (List.map f keep) in
   let labels = Array.init (Digraph.n_vertices g) (Digraph.label g) in
-  Digraph.of_arcs ~labels (Digraph.n_vertices g) (List.rev keep)
+  Digraph.of_arcs ~labels (Digraph.n_vertices g) ~src:(ends (Digraph.arc_src g))
+    ~dst:(ends (Digraph.arc_dst g))
 
 let without_internal_cycle rng dag =
   let rec repair dag =

@@ -59,6 +59,8 @@ let to_array t = Array.sub t.data 0 t.len
 
 let to_list t = Array.to_list (to_array t)
 
+let of_array data = { data; len = Array.length data }
+
 let of_list l =
   let t = create () in
   List.iter (push t) l;

@@ -23,6 +23,10 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
+val of_array : 'a array -> 'a t
+(** A vector holding exactly the array's elements.  The vector takes the
+    array over as its storage: the caller must not use it afterwards. *)
+
 val of_list : 'a list -> 'a t
 val exists : ('a -> bool) -> 'a t -> bool
 val clear : 'a t -> unit

@@ -22,7 +22,6 @@
     {t
     | Deprecated                  | Use instead              | Notes |
     |------------------------------|--------------------------|-------|
-    | [Serial.of_string_exn]       | {!Serial.of_string}      | structured [Parse]/[Cyclic]/[Invalid_path] errors |
     | [Instance.of_digraph_exn]    | {!Instance.of_digraph}   | [Error (Cyclic _)] instead of a raise |
     | [Dag.of_digraph_exn]         | {!Dag.of_digraph}        | cycle witness in the [Error] payload |
     | [Certificate.audit_exn]      | {!Certificate.audit}     | match on the issue list |

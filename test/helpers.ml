@@ -16,6 +16,12 @@ let qtest ?(count = 100) name gen prop =
    PRNG so shrinking stays meaningful and reproduction is a seed. *)
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 
+(* A digraph from a list of (src, dst) pairs, arc ids in list order. *)
+let digraph_of_pairs n arcs =
+  Digraph.of_arcs n
+    ~src:(Array.of_list (List.map fst arcs))
+    ~dst:(Array.of_list (List.map snd arcs))
+
 (* Raw digraph variant (guaranteed acyclic) for the graph-level suites. *)
 let gnp_dag seed n p = Dag.graph (Wl_netgen.Generators.gnp_dag (Prng.create seed) n p)
 

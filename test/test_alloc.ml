@@ -151,6 +151,38 @@ let test_lower_bound_alloc_per_call () =
     true
     (w400 -. w200 < 1000.)
 
+(* Reading an instance text costs no minor words per arc line: the
+   scanner walks the text in place and the arcs go to int arrays.  The
+   figure is the difference between a 2m-arc and an m-arc text on the
+   same vertices, over m; the line-by-line reader it replaced spent
+   about 64 words per arc line here. *)
+let test_serial_words_per_arc_line () =
+  let n = 400 in
+  let text m =
+    let b = Buffer.create (16 * m) in
+    Buffer.add_string b (Printf.sprintf "wl 2\ndag %d\n" n);
+    let k = ref 0 in
+    for v = 1 to n - 1 do
+      for u = 0 to v - 1 do
+        if !k < m then Buffer.add_string b (Printf.sprintf "arc %d %d\n" u v);
+        incr k
+      done
+    done;
+    Buffer.contents b
+  in
+  let m = 2000 in
+  let t1 = text m and t2 = text (2 * m) in
+  let parse t () =
+    match Wl_core.Serial.of_string t with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Wl_core.Error.to_string e)
+  in
+  parse t1 ();
+  parse t2 ();
+  let w1 = minor_delta (parse t1) and w2 = minor_delta (parse t2) in
+  let per_arc = (w2 -. w1) /. float_of_int m in
+  check (Printf.sprintf "%.1f minor words per arc line (m: %.0f, 2m: %.0f)" per_arc w1 w2) true (per_arc < 20.)
+
 (* --- the gate's allocation arm ---------------------------------------------- *)
 
 let point ?alloc_w name median =
@@ -230,6 +262,8 @@ let suite =
           test_engine_warm_ops_zero_alloc;
         Alcotest.test_case "routing lower bound allocates per call" `Quick
           test_lower_bound_alloc_per_call;
+        Alcotest.test_case "serial reader words per arc line" `Quick
+          test_serial_words_per_arc_line;
         Alcotest.test_case "gate flags alloc regressions" `Quick
           test_gate_alloc_regression;
         Alcotest.test_case "gate skips unmeasured alloc" `Quick

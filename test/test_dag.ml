@@ -7,7 +7,7 @@ module Prng = Wl_util.Prng
 module Saturating = Wl_util.Saturating
 
 let test_rejects_cycle () =
-  let g = Digraph.of_arcs 3 [ (0, 1); (1, 2); (2, 0) ] in
+  let g = digraph_of_pairs 3 [ (0, 1); (1, 2); (2, 0) ] in
   (match Dag.of_digraph g with
   | Ok _ -> Alcotest.fail "cycle accepted"
   | Error msg -> check "message mentions cycle" true (String.length msg > 0));
@@ -16,15 +16,15 @@ let test_rejects_cycle () =
       ignore (Dag.of_digraph_exn g))
 
 let test_sources_sinks () =
-  let g = Digraph.of_arcs 5 [ (0, 2); (1, 2); (2, 3); (2, 4) ] in
+  let g = digraph_of_pairs 5 [ (0, 2); (1, 2); (2, 3); (2, 4) ] in
   let d = Dag.of_digraph_exn g in
   check "sources" true (Dag.sources d = [ 0; 1 ]);
   check "sinks" true (Dag.sinks d = [ 3; 4 ])
 
 let test_longest_path () =
-  let g = Digraph.of_arcs 6 [ (0, 1); (1, 2); (2, 3); (0, 4); (4, 5) ] in
+  let g = digraph_of_pairs 6 [ (0, 1); (1, 2); (2, 3); (0, 4); (4, 5) ] in
   check_int "longest" 3 (Dag.longest_path_length (Dag.of_digraph_exn g));
-  let empty = Digraph.of_arcs 3 [] in
+  let empty = digraph_of_pairs 3 [] in
   check_int "no arcs" 0 (Dag.longest_path_length (Dag.of_digraph_exn empty))
 
 (* k diamonds in a row: 2^k dipaths end to end. *)
@@ -102,6 +102,30 @@ let peeling_invariant =
           List.for_all (fun b -> index.(b) < index.(a)) (Digraph.in_arcs g tail))
         order)
 
+(* Kahn over the flat rows gives the order the list-based
+   [Traversal.topological_order] gives, and a cyclic graph the same
+   witness as before. *)
+let order_matches_traversal =
+  qtest "topological order matches Traversal's" seed_gen ~count:60 (fun seed ->
+      let g = gnp_dag seed (1 + (seed mod 30)) 0.2 in
+      (* renumber the vertices so ascending ids are not already an order *)
+      let n = Digraph.n_vertices g in
+      let perm = Array.init n (fun v -> (v * 7 + seed) mod n) in
+      let distinct = Array.length (Array.of_list (List.sort_uniq compare (Array.to_list perm))) = n in
+      let g = if distinct then digraph_of_pairs n (List.map (fun (u, v) -> (perm.(u), perm.(v))) (Digraph.arcs g)) else g in
+      match (Dag.of_digraph g, Traversal.topological_order g) with
+      | Ok d, Some order ->
+        let c = Dag.csr d in
+        Array.to_list (Dag.topological_order d) = order
+        && List.for_all (fun v -> Dag.topo_position d v = Wl_util.Flat.get c.Dag.pos v) (Digraph.vertices g)
+      | _ -> false)
+
+let test_cycle_witness () =
+  let g = digraph_of_pairs 5 [ (0, 1); (3, 4); (1, 2); (4, 2); (2, 3) ] in
+  match Dag.of_digraph g with
+  | Ok _ -> Alcotest.fail "cycle accepted"
+  | Error msg -> Alcotest.(check string) "witness" "not a DAG: directed cycle v2 -> v3 -> v4" msg
+
 let suite =
   [
     ( "dag",
@@ -114,5 +138,7 @@ let suite =
         counting_matches_enumeration;
         some_dipath_valid;
         peeling_invariant;
+        order_matches_traversal;
+        Alcotest.test_case "cycle witness" `Quick test_cycle_witness;
       ] );
   ]

@@ -6,7 +6,7 @@ module Prng = Wl_util.Prng
 
 let diamond () =
   (* 0 -> 1 -> 3, 0 -> 2 -> 3 *)
-  Digraph.of_arcs 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ]
+  digraph_of_pairs 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ]
 
 let test_basic () =
   let g = diamond () in
@@ -70,7 +70,7 @@ let test_induced () =
 let random_roundtrip =
   qtest "of_arcs/arcs round trip" seed_gen (fun seed ->
       let g = gnp_dag seed 12 0.3 in
-      let g' = Digraph.of_arcs (Digraph.n_vertices g) (Digraph.arcs g) in
+      let g' = digraph_of_pairs (Digraph.n_vertices g) (Digraph.arcs g) in
       Digraph.equal_structure g g')
 
 let degrees_sum =
@@ -89,6 +89,56 @@ let out_arcs_consistent =
           && List.for_all (fun a -> Digraph.arc_dst g a = v) (Digraph.in_arcs g v))
         (Digraph.vertices g))
 
+(* [of_arcs] builds what [add_arc] calls in id order build: the same
+   rows, the same index; and the graph it builds keeps growing by
+   [add_arc] past the index's first size. *)
+let of_arcs_matches_add_arc =
+  qtest "of_arcs matches add_arc, and grows by add_arc" seed_gen ~count:60 (fun seed ->
+      let g = gnp_dag seed (2 + (seed mod 20)) 0.3 in
+      let n = Digraph.n_vertices g in
+      let src, dst = Digraph.arc_ends g in
+      let bulk = Digraph.of_arcs n ~src ~dst in
+      let inc = Digraph.create () in
+      Digraph.add_vertices inc n;
+      Digraph.iter_arcs (fun _ u v -> ignore (Digraph.add_arc inc u v)) g;
+      let same a b =
+        Digraph.arcs a = Digraph.arcs b
+        && List.for_all
+             (fun v ->
+               Digraph.out_arcs a v = Digraph.out_arcs b v
+               && Digraph.in_arcs a v = Digraph.in_arcs b v
+               && Digraph.succ a v = Digraph.succ b v
+               && Digraph.pred a v = Digraph.pred b v
+               && Digraph.out_degree a v = Digraph.out_degree b v
+               && Digraph.in_degree a v = Digraph.in_degree b v
+               && List.for_all (fun w -> Digraph.find_arc a v w = Digraph.find_arc b v w) (Digraph.vertices a))
+             (Digraph.vertices a)
+      in
+      let grown = same bulk inc in
+      (* then every missing forward arc, through both *)
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if not (Digraph.mem_arc bulk u v) then begin
+            ignore (Digraph.add_arc bulk u v);
+            ignore (Digraph.add_arc inc u v)
+          end
+        done
+      done;
+      grown && same bulk inc)
+
+let test_of_arcs_rejections () =
+  let rejects msg ~src ~dst =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (Digraph.of_arcs 3 ~src ~dst))
+  in
+  rejects "Digraph: no such vertex" ~src:[| 0; 0 |] ~dst:[| 1; 3 |];
+  rejects "Digraph.add_arc: self-loop" ~src:[| 0; 2 |] ~dst:[| 1; 2 |];
+  rejects "Digraph.add_arc: duplicate arc" ~src:[| 0; 1; 0 |] ~dst:[| 1; 2; 1 |];
+  (* the first offending arc decides, as with add_arc *)
+  rejects "Digraph.add_arc: self-loop" ~src:[| 1; 0; 0 |] ~dst:[| 1; 1; 1 |];
+  rejects "Digraph.of_arcs: src and dst lengths differ" ~src:[| 0 |] ~dst:[||];
+  Alcotest.check_raises "negative count" (Invalid_argument "Digraph.of_arcs: negative vertex count")
+    (fun () -> ignore (Digraph.of_arcs (-1) ~src:[||] ~dst:[||]))
+
 let suite =
   [
     ( "digraph",
@@ -102,5 +152,7 @@ let suite =
         random_roundtrip;
         degrees_sum;
         out_arcs_consistent;
+        of_arcs_matches_add_arc;
+        Alcotest.test_case "of_arcs rejections" `Quick test_of_arcs_rejections;
       ] );
   ]

@@ -4,7 +4,7 @@ open Helpers
 open Wl_digraph
 module Prng = Wl_util.Prng
 
-let line n = Digraph.of_arcs n (List.init (n - 1) (fun i -> (i, i + 1)))
+let line n = digraph_of_pairs n (List.init (n - 1) (fun i -> (i, i + 1)))
 
 let test_make_validation () =
   let g = line 5 in
@@ -20,7 +20,7 @@ let test_make_validation () =
   check "vertices" true (Dipath.vertices p = [ 1; 2; 3 ])
 
 let test_repeated_vertex () =
-  let g = Digraph.of_arcs 3 [ (0, 1); (1, 2) ] in
+  let g = digraph_of_pairs 3 [ (0, 1); (1, 2) ] in
   Alcotest.check_raises "repeat" (Invalid_argument "Dipath: repeated vertex")
     (fun () -> ignore (Dipath.make g [ 0; 1; 2; 0 ]))
 
@@ -69,7 +69,7 @@ let test_non_interval_intersection () =
   (* Two paths sharing two separated arcs: p = 0-1-2-3-4-5, q = 0-1,
      then around, then 4-5: build a graph with a bypass. *)
   let g =
-    Digraph.of_arcs 7
+    digraph_of_pairs 7
       [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (1, 6); (6, 4) ]
   in
   let p = Dipath.make g [ 0; 1; 2; 3; 4; 5 ] in

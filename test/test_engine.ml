@@ -34,7 +34,7 @@ let equivalent s =
   && audit_ok s
 
 let instance_of_arcs n arcs paths =
-  let g = Digraph.of_arcs n arcs in
+  let g = digraph_of_pairs n arcs in
   let dag = Dag.of_digraph_exn g in
   Instance.make dag (List.map (fun vs -> Dipath.make g vs) paths)
 
@@ -118,7 +118,7 @@ let test_warm_remove_and_shrink () =
   (* Build colors through the engine so they are known: A,B on (0,1) wear
      0,1; X on (2,3) wears 0.  Removing A drops pi to 1 while both classes
      stay inhabited — only the greedy shrink can restore palette = pi. *)
-  let g = Digraph.of_arcs 4 [ (0, 1); (2, 3) ] in
+  let g = digraph_of_pairs 4 [ (0, 1); (2, 3) ] in
   let s = ok_exn "of_digraph" (Engine.of_digraph g) in
   ignore (Engine.report s);
   let a = ok_exn "a" (Engine.add_path s [ 0; 1 ]) in

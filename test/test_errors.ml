@@ -31,7 +31,7 @@ let test_permutation_contracts () =
     (raises_invalid (fun () ->
          Wl_util.Permutation.of_two_bijections [| 1; 1 |] [| 1; 2 |]))
 
-let line n = Digraph.of_arcs n (List.init (n - 1) (fun i -> (i, i + 1)))
+let line n = digraph_of_pairs n (List.init (n - 1) (fun i -> (i, i + 1)))
 
 let test_dipath_contracts () =
   let g = line 5 in

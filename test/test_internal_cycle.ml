@@ -2,14 +2,13 @@
    central structural dichotomy. *)
 
 open Helpers
-open Wl_digraph
 module Dag = Wl_dag.Dag
 module IC = Wl_dag.Internal_cycle
 module Prng = Wl_util.Prng
 module Figures = Wl_netgen.Figures
 module Generators = Wl_netgen.Generators
 
-let dag_of arcs n = Dag.of_digraph_exn (Digraph.of_arcs n arcs)
+let dag_of arcs n = Dag.of_digraph_exn (digraph_of_pairs n arcs)
 
 let test_fig3_has_one () =
   let d = Wl_core.Instance.dag (Figures.fig3 ()) in

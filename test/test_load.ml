@@ -9,7 +9,7 @@ module Graph_props = Wl_conflict.Graph_props
 module Figures = Wl_netgen.Figures
 
 let line_instance () =
-  let g = Digraph.of_arcs 5 (List.init 4 (fun i -> (i, i + 1))) in
+  let g = digraph_of_pairs 5 (List.init 4 (fun i -> (i, i + 1))) in
   let dag = Dag.of_digraph_exn g in
   let p l = Dipath.make g l in
   (g, Instance.make dag [ p [ 0; 1; 2 ]; p [ 1; 2; 3 ]; p [ 3; 4 ] ])
@@ -31,7 +31,7 @@ let test_paths_through () =
   check "arc3 users" true (Instance.paths_through inst 3 = [ 2 ])
 
 let test_empty_instance () =
-  let g = Digraph.of_arcs 3 [ (0, 1) ] in
+  let g = digraph_of_pairs 3 [ (0, 1) ] in
   let inst = Instance.make (Dag.of_digraph_exn g) [] in
   check_int "pi of empty" 0 (Load.pi inst);
   check "no max arcs" true (Load.max_load_arcs inst = [])
@@ -112,7 +112,7 @@ let bounds_are_ordered =
 let line_conflict_graphs_are_perfectish =
   qtest "on lines: chromatic = clique = pi" seed_gen ~count:30 (fun seed ->
       let rng = Wl_util.Prng.create seed in
-      let g = Digraph.of_arcs 14 (List.init 13 (fun i -> (i, i + 1))) in
+      let g = digraph_of_pairs 14 (List.init 13 (fun i -> (i, i + 1))) in
       let dag = Dag.of_digraph_exn g in
       let paths =
         List.init 10 (fun _ ->

@@ -11,7 +11,7 @@ let test_route_shortest_is_shortest () =
   (* 0 -> 1 -> 4 (2 hops) vs 0 -> 2 -> 3 -> 4 (3 hops).  Regression for the
      old delegation to Dag.some_dipath, whose contract is "any dipath": the
      hop count is pinned. *)
-  let g = Digraph.of_arcs 5 [ (0, 1); (1, 4); (0, 2); (2, 3); (3, 4) ] in
+  let g = digraph_of_pairs 5 [ (0, 1); (1, 4); (0, 2); (2, 3); (3, 4) ] in
   let dag = Dag.of_digraph_exn g in
   match Routing.route_shortest dag [ (0, 4) ] with
   | Ok [ p ] -> check_int "two hops" 2 (Dipath.n_arcs p)
@@ -21,7 +21,7 @@ let test_shortest_is_lex_smallest () =
   (* Two 2-hop routes 0->3->4 and 0->1->4; arc insertion order puts 3 before
      1 in the adjacency list, but shortest_dipath must still pick the
      lexicographically smaller vertex sequence 0,1,4. *)
-  let g = Digraph.of_arcs 5 [ (0, 3); (3, 4); (0, 1); (1, 4) ] in
+  let g = digraph_of_pairs 5 [ (0, 3); (3, 4); (0, 1); (1, 4) ] in
   let dag = Dag.of_digraph_exn g in
   match Routing.shortest_dipath dag 0 4 with
   | Some p -> check "lex smallest" true (Dipath.vertices p = [ 0; 1; 4 ])
@@ -33,7 +33,7 @@ let astring_contains s sub =
   go 0
 
 let test_unroutable_reported () =
-  let g = Digraph.of_arcs 3 [ (0, 1) ] in
+  let g = digraph_of_pairs 3 [ (0, 1) ] in
   let dag = Dag.of_digraph_exn g in
   (match Routing.route_shortest dag [ (0, 1); (1, 2) ] with
   | Error (Error.Invalid_path msg as e) ->
@@ -50,7 +50,7 @@ let test_unroutable_reported () =
 let test_min_load_spreads () =
   (* Two parallel two-hop routes; four identical requests must split 2/2,
      keeping the load at 2 instead of 4. *)
-  let g = Digraph.of_arcs 6 [ (0, 1); (1, 5); (0, 2); (2, 5); (0, 3); (3, 5) ] in
+  let g = digraph_of_pairs 6 [ (0, 1); (1, 5); (0, 2); (2, 5); (0, 3); (3, 5) ] in
   let dag = Dag.of_digraph_exn g in
   let requests = List.init 6 (fun _ -> (0, 5)) in
   match Routing.instance_of dag Routing.route_min_load requests with
@@ -93,7 +93,7 @@ let min_load_routes_everything =
 let test_min_load_beats_shortest_on_hotspot () =
   (* 0 -> 1 -> 5 (short) and 0 -> 2 -> 3 -> 5 / 0 -> 4 -> ... detours. *)
   let g =
-    Digraph.of_arcs 7
+    digraph_of_pairs 7
       [ (0, 1); (1, 6); (0, 2); (2, 3); (3, 6); (0, 4); (4, 5); (5, 6) ]
   in
   let dag = Dag.of_digraph_exn g in
@@ -205,7 +205,7 @@ let test_select_beats_seed_on_hotspot () =
      decision: requests between interior vertices that the seed routes
      through the shared fast arc, and check select reaches the optimum 2. *)
   let g =
-    Digraph.of_arcs 7
+    digraph_of_pairs 7
       [ (0, 1); (1, 6); (0, 2); (2, 3); (3, 6); (0, 4); (4, 5); (5, 6) ]
   in
   let dag = Dag.of_digraph_exn g in
@@ -220,7 +220,7 @@ let test_select_beats_seed_on_hotspot () =
       (sel.Routing.max_load <= sel.Routing.seed_load)
 
 let test_select_nonpositive_k () =
-  let g = Digraph.of_arcs 3 [ (0, 1); (1, 2) ] in
+  let g = digraph_of_pairs 3 [ (0, 1); (1, 2) ] in
   let dag = Dag.of_digraph_exn g in
   List.iter
     (fun k ->
@@ -233,7 +233,7 @@ let test_select_nonpositive_k () =
   check "k_shortest with k = 0 is empty" true (Routing.k_shortest ~k:0 dag 0 2 = [])
 
 let test_select_bad_index () =
-  let g = Digraph.of_arcs 3 [ (0, 1); (1, 2) ] in
+  let g = digraph_of_pairs 3 [ (0, 1); (1, 2) ] in
   let dag = Dag.of_digraph_exn g in
   match Routing.select dag [ (0, 7) ] with
   | Error (Error.Bad_index { index = 7; _ } as e) ->
@@ -243,7 +243,7 @@ let test_select_bad_index () =
 let test_lower_bound_forced_arc () =
   (* A bridge arc every request must cross: volume bound is 1 but the
      forced-arc bound sees all three requests. *)
-  let g = Digraph.of_arcs 6 [ (0, 2); (1, 2); (2, 3); (3, 4); (3, 5) ] in
+  let g = digraph_of_pairs 6 [ (0, 2); (1, 2); (2, 3); (3, 4); (3, 5) ] in
   let dag = Dag.of_digraph_exn g in
   check_int "forced bridge" 3
     (Routing.lower_bound dag [ (0, 4); (1, 5); (0, 5) ])
@@ -580,7 +580,7 @@ let test_unique_on_upp () =
       pairs paths
 
 let test_multicast () =
-  let g = Digraph.of_arcs 5 [ (0, 1); (0, 2); (1, 3) ] in
+  let g = digraph_of_pairs 5 [ (0, 1); (0, 2); (1, 3) ] in
   let dag = Dag.of_digraph_exn g in
   check "multicast requests" true
     (List.sort compare (Routing.multicast dag 0) = [ (0, 1); (0, 2); (0, 3) ]);
@@ -607,7 +607,7 @@ let multicast_tree_equality =
         && Assignment.n_wavelengths (Assignment.normalize a) = Load.pi inst)
 
 let test_multicast_tree_counts () =
-  let g = Digraph.of_arcs 6 [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ] in
+  let g = digraph_of_pairs 6 [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ] in
   let dag = Dag.of_digraph_exn g in
   let paths = Routing.route_multicast_tree dag 0 in
   check_int "one route per reachable vertex" 4 (List.length paths);

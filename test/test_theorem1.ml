@@ -18,7 +18,7 @@ let optimal_on inst =
   && Assignment.n_wavelengths (Assignment.normalize assignment) = Load.pi inst
 
 let test_empty_and_trivial () =
-  let g = Digraph.of_arcs 2 [ (0, 1) ] in
+  let g = digraph_of_pairs 2 [ (0, 1) ] in
   let dag = Dag.of_digraph_exn g in
   check "empty family" true (Theorem1.color (Instance.make dag []) = [||]);
   let p = Dipath.make g [ 0; 1 ] in
@@ -52,7 +52,7 @@ let theorem1_in_trees =
 let theorem1_lines =
   qtest "w = pi on lines (interval instances)" seed_gen ~count:40 (fun seed ->
       let rng = Prng.create seed in
-      let g = Digraph.of_arcs 20 (List.init 19 (fun i -> (i, i + 1))) in
+      let g = digraph_of_pairs 20 (List.init 19 (fun i -> (i, i + 1))) in
       let dag = Dag.of_digraph_exn g in
       let paths =
         List.init 15 (fun _ ->

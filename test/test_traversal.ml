@@ -5,7 +5,7 @@ open Wl_digraph
 module Prng = Wl_util.Prng
 module Bitset = Wl_util.Bitset
 
-let path_graph n = Digraph.of_arcs n (List.init (n - 1) (fun i -> (i, i + 1)))
+let path_graph n = digraph_of_pairs n (List.init (n - 1) (fun i -> (i, i + 1)))
 
 let test_bfs_dist_on_path () =
   let g = path_graph 6 in
@@ -15,7 +15,7 @@ let test_bfs_dist_on_path () =
   check "unreachable is -1" true (d2 = [| -1; -1; -1; 0; 1; 2 |])
 
 let test_bfs_path () =
-  let g = Digraph.of_arcs 5 [ (0, 1); (1, 4); (0, 2); (2, 3); (3, 4) ] in
+  let g = digraph_of_pairs 5 [ (0, 1); (1, 4); (0, 2); (2, 3); (3, 4) ] in
   check "shortest path" true (Traversal.bfs_parent_path g 0 4 = Some [ 0; 1; 4 ]);
   check "self" true (Traversal.bfs_parent_path g 2 2 = Some [ 2 ]);
   check "unreachable" true (Traversal.bfs_parent_path g 4 0 = None)
@@ -32,7 +32,7 @@ let topo_order_valid =
         && Digraph.fold_arcs (fun _ u v acc -> acc && pos.(u) < pos.(v)) g true)
 
 let test_cyclic_detected () =
-  let g = Digraph.of_arcs 3 [ (0, 1); (1, 2); (2, 0) ] in
+  let g = digraph_of_pairs 3 [ (0, 1); (1, 2); (2, 0) ] in
   check "not acyclic" false (Traversal.is_acyclic g);
   match Traversal.find_directed_cycle g with
   | None -> Alcotest.fail "expected a directed cycle"
@@ -72,7 +72,7 @@ let reaching_is_reverse_reachable =
         (Digraph.vertices g))
 
 let test_components () =
-  let g = Digraph.of_arcs 6 [ (0, 1); (1, 2); (3, 4) ] in
+  let g = digraph_of_pairs 6 [ (0, 1); (1, 2); (3, 4) ] in
   let comp, n = Traversal.undirected_components g in
   check_int "three components" 3 n;
   check "0,1,2 together" true (comp.(0) = comp.(1) && comp.(1) = comp.(2));
@@ -80,7 +80,7 @@ let test_components () =
   check "5 alone" true (comp.(5) <> comp.(0) && comp.(5) <> comp.(3))
 
 let test_undirected_cycle_on_forest () =
-  let g = Digraph.of_arcs 5 [ (0, 1); (0, 2); (2, 3); (4, 3) ] in
+  let g = digraph_of_pairs 5 [ (0, 1); (0, 2); (2, 3); (4, 3) ] in
   check "forest has no cycle" true (Traversal.undirected_cycle g = None)
 
 (* The walk returned must chain correctly and close up. *)
@@ -118,7 +118,7 @@ let undirected_cycle_respects_filter =
       | Some walk -> List.for_all (fun (a, _) -> keep a) walk)
 
 let test_dfs_postorder () =
-  let g = Digraph.of_arcs 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
+  let g = digraph_of_pairs 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
   let post = Traversal.dfs_postorder g in
   check_int "covers all vertices" (Digraph.n_vertices g) (List.length post)
 

@@ -9,7 +9,7 @@ module Prng = Wl_util.Prng
 module Figures = Wl_netgen.Figures
 module Generators = Wl_netgen.Generators
 
-let dag_of arcs n = Dag.of_digraph_exn (Digraph.of_arcs n arcs)
+let dag_of arcs n = Dag.of_digraph_exn (digraph_of_pairs n arcs)
 
 let test_diamond_not_upp () =
   let d = dag_of [ (0, 1); (0, 2); (1, 3); (2, 3) ] 4 in

@@ -68,7 +68,7 @@ let test_k23_realizable_without_upp () =
      middle arcs.  Vertices 0..4, arcs 0-1, 1-2, 2-3, 3-4 and a parallel
      1 -> 5 -> 2 detour is UPP-violating by design. *)
   let g =
-    Digraph.of_arcs 7 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6) ]
+    digraph_of_pairs 7 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6) ]
   in
   let dag = Wl_dag.Dag.of_digraph_exn g in
   let p l = Dipath.make g l in
