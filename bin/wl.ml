@@ -125,7 +125,7 @@ let color_cmd =
 (* --- route --- *)
 
 let route file reqs_file k json =
-  let module Jsonx = Wl_util.Jsonx in
+  let module Jsonx = Wl_json.Jsonx in
   (* The DAG comes from an instance file; any dipaths it carries are
      ignored — routing chooses the family. *)
   let dag = Instance.dag (read_instance file) in

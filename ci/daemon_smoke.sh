@@ -4,27 +4,33 @@
 # --connect`, `wl trace pull`), SIGTERM, and assert a clean graceful
 # drain — exit 0, scrapeable OpenMetrics expositions on both sides, a
 # validating pulled trace, tenant-named flight dumps and a non-empty
-# per-tenant health listing left behind.
+# per-tenant health listing left behind.  That leg runs --shards 2 (two
+# accept domains, joined at the drain); a second leg runs --shards 1,
+# where every connection and every wave share one domain.
 set -eu
 
 WL=$1
 STRESS=$2
-SOCK=./wld_smoke.sock
 
+# wait_bound SOCK PID: wait until the daemon PID has bound SOCK
+wait_bound() {
+  i=0
+  while [ ! -S "$1" ]; do
+    i=$((i + 1))
+    if [ $i -gt 100 ]; then
+      echo "daemon never bound $1" >&2
+      kill "$2" 2>/dev/null || true
+      exit 1
+    fi
+    sleep 0.1
+  done
+}
+
+SOCK=./wld_smoke.sock
 "$WL" wld "unix:$SOCK" --shards 2 --metrics-out wld_smoke_metrics.txt \
   --health-dump wld_smoke_health.txt --flight-dump wld_smoke_flight &
 WLD_PID=$!
-
-i=0
-while [ ! -S "$SOCK" ]; do
-  i=$((i + 1))
-  if [ $i -gt 100 ]; then
-    echo "daemon never bound $SOCK" >&2
-    kill "$WLD_PID" 2>/dev/null || true
-    exit 1
-  fi
-  sleep 0.1
-done
+wait_bound "$SOCK" "$WLD_PID"
 
 # Churn with tracing on: every request carries a trace context, so the
 # daemon-side flight rings and HDR exemplars latch real trace ids.
@@ -59,3 +65,12 @@ test -s wld_smoke_flight.t00063.jsonl
 "$WL" trace-check wld_smoke_flight.t00000.trace.json
 "$WL" trace-check wld_smoke_flight.t00063.trace.json
 test -s wld_smoke_health.txt
+
+# One domain: churn, then SIGTERM must still drain and exit 0.
+SOCK1=./wld_smoke1.sock
+"$WL" wld "unix:$SOCK1" --shards 1 &
+WLD1_PID=$!
+wait_bound "$SOCK1" "$WLD1_PID"
+"$STRESS" --daemon "unix:$SOCK1" --sessions 64 --client-threads 4 --ops 8
+kill -TERM "$WLD1_PID"
+wait "$WLD1_PID"

@@ -14,8 +14,3 @@ type issue = string
 val audit : Instance.t -> Solver.report -> issue list
 (** Empty iff the report withstands every check. *)
 
-val audit_exn : Instance.t -> Solver.report -> unit
-(** Raises [Failure] with the concatenated issues when the audit fails.
-    @deprecated Use {!audit} and match on the issue list (see the
-    deprecation table in {!module:Wl}); this twin remains only for legacy
-    callers and will go in the next major version. *)

@@ -48,8 +48,6 @@ let of_digraph g path_list =
   | Ok dag -> Ok (make dag path_list)
   | Error msg -> Error (Error.Cyclic msg)
 
-let of_digraph_exn g path_list = Error.get_exn (of_digraph g path_list)
-
 let of_vertex_seqs g seqs =
   match Dag.of_digraph g with
   | Error msg -> Error (Error.Cyclic msg)

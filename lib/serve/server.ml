@@ -38,7 +38,10 @@ type t = {
   addr : address;
   listen_fd : Unix.file_descr;
   stop_flag : bool Atomic.t;
+  conns_m : Mutex.t;
+  mutable conns : Unix.file_descr list;  (** open connections, every domain *)
   mutable accept_thread : Thread.t option;
+  mutable accept_domains : unit Domain.t list;
 }
 
 let payload_is_json p = String.length p > 0 && p.[0] = '{'
@@ -69,16 +72,25 @@ let conn_loop t fd =
         | _ -> go ()))
   in
   (try go () with _ -> ());
+  Mutex.lock t.conns_m;
+  t.conns <- List.filter (( <> ) fd) t.conns;
+  Mutex.unlock t.conns_m;
   try Unix.close fd with _ -> ()
 
+(* The stop flag is read under [conns_m]: a connection admitted here is
+   on [conns] before [wait] shuts them down, or is never admitted. *)
 let accept_loop t =
   let rec go () =
     if Atomic.get t.stop_flag then ()
     else
       match Unix.accept t.listen_fd with
       | fd, _ ->
-        if Atomic.get t.stop_flag then (try Unix.close fd with _ -> ())
-        else ignore (Thread.create (fun () -> conn_loop t fd) ());
+        Mutex.lock t.conns_m;
+        let admit = not (Atomic.get t.stop_flag) in
+        if admit then t.conns <- fd :: t.conns;
+        Mutex.unlock t.conns_m;
+        if admit then ignore (Thread.create (conn_loop t) fd)
+        else (try Unix.close fd with _ -> ());
         go ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
       | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _) ->
@@ -140,9 +152,23 @@ let serve ~shard addr =
   | Error _ as e -> e
   | Ok listen_fd ->
     let t =
-      { shard; addr; listen_fd; stop_flag = Atomic.make false; accept_thread = None }
+      {
+        shard;
+        addr;
+        listen_fd;
+        stop_flag = Atomic.make false;
+        conns_m = Mutex.create ();
+        conns = [];
+        accept_thread = None;
+        accept_domains = [];
+      }
     in
-    t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+    (* Waves run on the connection threads, so connections are spread
+       over one domain per shard; each loop creates its connection
+       threads on its own domain. *)
+    t.accept_domains <-
+      List.init (Shard.shards shard - 1) (fun _ -> Domain.spawn (fun () -> accept_loop t));
+    t.accept_thread <- Some (Thread.create accept_loop t);
     Ok t
 
 let address t = t.addr
@@ -153,13 +179,22 @@ let wait t =
   while not (Atomic.get t.stop_flag) do
     Thread.delay 0.05
   done;
-  wake_accept t.addr;
+  (* one wake per accept loop: each wakes at most one [accept] *)
+  for _ = 0 to List.length t.accept_domains do
+    wake_accept t.addr
+  done;
+  let sessions = Shard.drain t.shard in
+  (* A domain joins only once its connection threads end, so close the
+     connections still open; the drain has answered every call in flight. *)
+  Mutex.lock t.conns_m;
+  List.iter (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ()) t.conns;
+  Mutex.unlock t.conns_m;
   (match t.accept_thread with
   | Some th -> ( try Thread.join th with _ -> ())
   | None -> ());
+  List.iter Domain.join t.accept_domains;
   (try Unix.close t.listen_fd with _ -> ());
   (match t.addr with
   | Unix_sock path -> ( try Unix.unlink path with _ -> ())
   | Tcp _ -> ());
-  let healths = Shard.drain t.shard in
-  healths
+  sessions

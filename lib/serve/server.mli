@@ -2,8 +2,10 @@
 
     One OS thread per accepted connection reads {!Wire} frames, decodes
     {!Proto} requests (text or JSON, answered in kind), and executes them
-    through {!Shard.call} — so the protocol work stays on cheap threads
-    while the engine work stays on the shard domains.
+    through {!Shard.call}, which runs the shard's waves on these same
+    threads.  Connections are therefore spread over one domain per
+    shard: the accept loop runs on [Shard.shards] domains, and each loop
+    creates its connection threads on its own domain.
 
     Shutdown is cooperative: {!request_stop} (safe from a signal handler
     and from connection threads — a client [shutdown] request triggers it
@@ -26,9 +28,11 @@ val address_to_string : address -> string
 type t
 
 val serve : shard:Shard.t -> address -> (t, Error.t) result
-(** Bind, listen and start accepting on a background thread.  A unix
-    socket path is unlinked first if present; TCP listeners set
-    [SO_REUSEADDR].  [Error (Io _)] when the endpoint cannot be bound. *)
+(** Bind, listen and start accepting: on a background thread of the
+    calling domain and on [Shard.shards shard - 1] spawned domains (none
+    with one shard).  A unix socket path is unlinked first if present;
+    TCP listeners set [SO_REUSEADDR].  [Error (Io _)] when the endpoint
+    cannot be bound. *)
 
 val address : t -> address
 
@@ -38,8 +42,9 @@ val request_stop : t -> unit
 val stop_requested : t -> bool
 
 val wait : t -> (string * Engine.session) list
-(** Block until {!request_stop}, then perform the drain: close the
-    listener, flush and join the shards, and return the quiesced
-    per-tenant session listing (sorted by tenant) for health and flight
-    dumps.  In-flight connections observing the drain receive
-    [Precondition] error frames. *)
+(** Block until {!request_stop}, then perform the drain: wake every
+    accept loop, drain the shards, shut down the connections still open,
+    join the accept loops and their domains, close the listener, and
+    return the quiesced per-tenant session listing (sorted by tenant)
+    for health and flight dumps.  Requests arriving during the drain
+    receive [Precondition] error frames. *)

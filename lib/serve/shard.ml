@@ -20,28 +20,29 @@ type job = {
   req : Proto.req;
   ctx : Ctx.t;  (** propagated trace context, [Ctx.none] when untraced *)
   enq_us : float;  (** enqueue stamp, feeds the [serve.queue_wait] span *)
-  job_m : Mutex.t;
-  job_c : Condition.t;
   mutable reply : Proto.reply option;
+      (** stored by the wave that ran the job; the shard mutex, taken by the
+          wave's runner after the wave and by the waiter before it reads,
+          publishes it *)
 }
 
 type shard = {
   sid : int;
   m : Mutex.t;
-  nonempty : Condition.t;
   nonfull : Condition.t;
+  wave_done : Condition.t;  (** broadcast whenever a wave ends *)
   mutable queue : job list;  (** newest first *)
   mutable queue_len : int;
   mutable stopping : bool;
+  mutable busy : bool;  (** a caller is running a wave of this shard *)
   sessions : (string, Engine.session) Hashtbl.t;
   roster_m : Mutex.t;
   mutable roster : (string * Engine.session) list;
       (** mirror of [sessions], maintained on Open/Evict.  The Hashtbl
-          belongs to the worker domain (it is mutated outside [m]), so
-          introspection requests answered on caller threads read this
+          belongs to whoever holds [busy] (it is mutated outside [m]), so
+          introspection requests answered on other threads read this
           mirror under its own lock instead of racing the table. *)
   n_sessions : int Atomic.t;
-  mutable worker : unit Domain.t option;
 }
 
 type t = {
@@ -218,8 +219,9 @@ let handle_one t sh (req : Proto.req) : Proto.reply =
 let with_ctx ctx f =
   if Ctx.is_none ctx then f ()
   else begin
-    (* Save/restore rather than clear: on the synchronous loopback the
-       client's own ambient context lives on this same domain. *)
+    (* Save/restore rather than clear: on the synchronous loopback and in
+       caller-run waves the caller's own ambient context lives on this
+       same domain. *)
     let prev = Ctx.current () in
     Ctx.set ctx;
     Fun.protect ~finally:(fun () -> Ctx.set prev) f
@@ -261,11 +263,7 @@ let req_tenant (req : Proto.req) =
 
 let is_submit = function Proto.Submit _ -> true | _ -> false
 
-let finish job reply =
-  Mutex.lock job.job_m;
-  job.reply <- Some reply;
-  Condition.signal job.job_c;
-  Mutex.unlock job.job_m
+let finish job reply = job.reply <- Some reply
 
 let single_reply (req : Proto.req) (o : (Engine.op_outcome, Error.t) result) : Proto.reply =
   match (req, o) with
@@ -390,34 +388,33 @@ let rec process t sh wave =
       List.iteri (fun i r -> distribute r batches.(i)) runs);
     process t sh rest
 
-(* --- worker loop ----------------------------------------------------------- *)
+(* --- caller-run waves -------------------------------------------------------- *)
 
-let worker_loop t sh =
-  let rec loop () =
-    Mutex.lock sh.m;
-    while sh.queue = [] && not sh.stopping do
-      Condition.wait sh.nonempty sh.m
-    done;
-    let wave = List.rev sh.queue in
-    sh.queue <- [];
-    sh.queue_len <- 0;
-    Condition.broadcast sh.nonfull;
-    Mutex.unlock sh.m;
-    (if Trace.enabled () then
-       let t1_us = Clock.now_us () in
-       List.iter
-         (fun job ->
-           if not (Ctx.is_none job.ctx) then
-             with_ctx job.ctx (fun () ->
-                 Trace.span_between "serve.queue_wait" ~t0_us:job.enq_us ~t1_us))
-         wave);
-    match wave with
-    | [] -> () (* stopping and flushed *)
-    | wave ->
-      process t sh wave;
-      loop ()
-  in
-  loop ()
+(* Solver kernels keep per-domain scratch (Domain.DLS) and trace spans nest
+   on a per-domain stack, so two waves must never interleave on one domain.
+   Threads of one domain can run waves of different shards at once (the
+   busy flag is per shard); this lock serialises them. *)
+let domain_wave_lock = Domain.DLS.new_key Mutex.create
+
+(* Every job of the wave gets a reply, even when the engine raises: its
+   caller, or the caller waiting on it, would otherwise wait forever. *)
+let run_wave t sh wave =
+  let lock = Domain.DLS.get domain_wave_lock in
+  Mutex.lock lock;
+  (try
+     (if Trace.enabled () then
+        let t1_us = Clock.now_us () in
+        List.iter
+          (fun job ->
+            if not (Ctx.is_none job.ctx) then
+              with_ctx job.ctx (fun () ->
+                  Trace.span_between "serve.queue_wait" ~t0_us:job.enq_us ~t1_us))
+          wave);
+     process t sh wave
+   with e ->
+     let err = Error (Error.Precondition ("shard wave raised " ^ Printexc.to_string e)) in
+     List.iter (fun job -> if job.reply = None then finish job err) wave);
+  Mutex.unlock lock
 
 (* --- public surface -------------------------------------------------------- *)
 
@@ -428,31 +425,26 @@ let create ?(threaded = true) ?(flight_capacity = 256) ~shards ~max_queue () =
     {
       sid;
       m = Mutex.create ();
-      nonempty = Condition.create ();
       nonfull = Condition.create ();
+      wave_done = Condition.create ();
       queue = [];
       queue_len = 0;
       stopping = false;
+      busy = false;
       sessions = Hashtbl.create 64;
       roster_m = Mutex.create ();
       roster = [];
       n_sessions = Atomic.make 0;
-      worker = None;
     }
   in
-  let t =
-    {
-      shards = Array.init shards mk;
-      max_queue;
-      flight_capacity;
-      threaded;
-      drain_m = Mutex.create ();
-      drained = None;
-    }
-  in
-  if threaded then
-    Array.iter (fun sh -> sh.worker <- Some (Domain.spawn (fun () -> worker_loop t sh))) t.shards;
-  t
+  {
+    shards = Array.init shards mk;
+    max_queue;
+    flight_capacity;
+    threaded;
+    drain_m = Mutex.create ();
+    drained = None;
+  }
 
 let shards t = Array.length t.shards
 
@@ -477,17 +469,11 @@ let call_sync t sh ~ctx req =
         handle_traced t sh ~ctx req
       end)
 
+(* Flat combining: the caller that finds its shard idle takes the whole
+   queue, its own job included, and runs it as one wave; callers that find
+   a wave running wait for one that answers them. *)
 let call_threaded t sh ~ctx req =
-  let job =
-    {
-      req;
-      ctx;
-      enq_us = Clock.now_us ();
-      job_m = Mutex.create ();
-      job_c = Condition.create ();
-      reply = None;
-    }
-  in
+  let job = { req; ctx; enq_us = Clock.now_us (); reply = None } in
   Mutex.lock sh.m;
   while sh.queue_len >= t.max_queue && not sh.stopping do
     Condition.wait sh.nonfull sh.m
@@ -499,13 +485,22 @@ let call_threaded t sh ~ctx req =
   else begin
     sh.queue <- job :: sh.queue;
     sh.queue_len <- sh.queue_len + 1;
-    Condition.signal sh.nonempty;
-    Mutex.unlock sh.m;
-    Mutex.lock job.job_m;
     while job.reply = None do
-      Condition.wait job.job_c job.job_m
+      if sh.busy then Condition.wait sh.wave_done sh.m
+      else begin
+        sh.busy <- true;
+        let wave = List.rev sh.queue in
+        sh.queue <- [];
+        sh.queue_len <- 0;
+        Condition.broadcast sh.nonfull;
+        Mutex.unlock sh.m;
+        run_wave t sh wave;
+        Mutex.lock sh.m;
+        sh.busy <- false;
+        Condition.broadcast sh.wave_done
+      end
     done;
-    Mutex.unlock job.job_m;
+    Mutex.unlock sh.m;
     Option.get job.reply
   end
 
@@ -552,19 +547,14 @@ let drain t =
       (fun sh ->
         Mutex.lock sh.m;
         sh.stopping <- true;
-        Condition.broadcast sh.nonempty;
         Condition.broadcast sh.nonfull;
+        (* jobs queued before the stop still run: their callers take
+           the next waves *)
+        while sh.busy || sh.queue <> [] do
+          Condition.wait sh.wave_done sh.m
+        done;
         Mutex.unlock sh.m)
       t.shards;
-    if t.threaded then
-      Array.iter
-        (fun sh ->
-          match sh.worker with
-          | Some d ->
-            Domain.join d;
-            sh.worker <- None
-          | None -> ())
-        t.shards;
     let listing =
       Array.to_list t.shards
       |> List.concat_map (fun sh ->

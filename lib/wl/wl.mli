@@ -22,9 +22,7 @@
     {t
     | Deprecated                  | Use instead              | Notes |
     |------------------------------|--------------------------|-------|
-    | [Instance.of_digraph_exn]    | {!Instance.of_digraph}   | [Error (Cyclic _)] instead of a raise |
     | [Dag.of_digraph_exn]         | {!Dag.of_digraph}        | cycle witness in the [Error] payload |
-    | [Certificate.audit_exn]      | {!Certificate.audit}     | match on the issue list |
     }
 
     Two [_exn] twins are kept on purpose — {!Engine.add_dipath_exn} and

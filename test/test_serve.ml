@@ -396,6 +396,214 @@ let test_daemon_roundtrip () =
   | _ -> Alcotest.fail "unexpected drain listing");
   check "socket unlinked" false (Sys.file_exists path)
 
+(* --- threaded shard under concurrent callers ---------------------------------- *)
+
+(* Run [f i] for i < n on threads spread over two domains and started
+   together, so that callers truly overlap (the callers below also yield
+   after each call, so that threads of one domain interleave).  Fail the
+   test when they have not all returned within 10 s: a caller left
+   blocked fails the suite instead of stalling it.  The first exception a
+   caller raised is re-raised here. *)
+let run_watched n f =
+  let ready = Atomic.make 0 and finished = Atomic.make 0 and failure = Atomic.make None in
+  let caller i () =
+    Atomic.incr ready;
+    while Atomic.get ready < n do
+      Thread.yield ()
+    done;
+    (try f i with e -> ignore (Atomic.compare_and_set failure None (Some e)));
+    Atomic.incr finished
+  in
+  let on_domain d () =
+    List.filter (fun i -> i mod 2 = d) (List.init n Fun.id)
+    |> List.map (fun i -> Thread.create (caller i) ())
+    |> List.iter Thread.join
+  in
+  let domains = List.init 2 (fun d -> Domain.spawn (on_domain d)) in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Atomic.get finished < n && Unix.gettimeofday () < deadline do
+    Thread.delay 0.002
+  done;
+  if Atomic.get finished < n then Alcotest.fail "a caller is still blocked after 10 s";
+  List.iter Domain.join domains;
+  Option.iter raise (Atomic.get failure)
+
+(* A tenant on its own rooted tree (no internal cycle, so every report
+   reads w = pi) with a pool of dipaths to add, and the log of the
+   requests sent for it with their replies, newest first. *)
+type tree_tenant = {
+  tenant : string;
+  base : Instance.t;
+  pool : int list array;
+  rng : Wl_util.Prng.t;
+  mutable live : int list;
+  mutable log : (Proto.req * Proto.reply) list;
+}
+
+let tree_tenant i =
+  let rng = Wl_util.Prng.create (4100 + i) in
+  let dag = Wl_netgen.Generators.random_rooted_tree rng 24 in
+  let pool = Wl_netgen.Path_gen.random_family rng dag 32 in
+  {
+    tenant = Printf.sprintf "c%02d" i;
+    base = Instance.make dag [];
+    pool = Array.of_list (List.map Wl_digraph.Dipath.vertices pool);
+    rng;
+    live = [];
+    log = [];
+  }
+
+(* Log a reply to one of [tt]'s requests and track its live ids; any
+   error fails the test.  Runs on caller threads, so it raises instead of
+   calling [check], whose shared formatter is not thread-safe. *)
+let record tt req reply =
+  tt.log <- (req, reply) :: tt.log;
+  match (req, reply) with
+  | Proto.Add_path _, Ok (Proto.R_path id) -> tt.live <- id :: tt.live
+  | Proto.Remove_path { id; _ }, Ok (Proto.R_removed _) ->
+    tt.live <- List.filter (( <> ) id) tt.live
+  | Proto.Report _, Ok (Proto.R_report r) ->
+    if r.Proto.n_wavelengths <> r.Proto.pi then
+      Alcotest.failf "%s: served w = %d, pi = %d" tt.tenant r.Proto.n_wavelengths r.Proto.pi
+  | (Proto.Color_of _ | Proto.Report _), Ok _ -> ()
+  | _, Ok _ -> Alcotest.failf "%s: reply of the wrong shape" tt.tenant
+  | _, Error e ->
+    Alcotest.failf "%s %s: %s" tt.tenant (Proto.verb_of_req req) (Error.to_string e)
+
+let add_or_remove tt ~keep =
+  match tt.live with
+  | id :: rest when List.length rest >= keep -> Proto.Remove_path { tenant = tt.tenant; id }
+  | _ ->
+    let vertices = tt.pool.(Wl_util.Prng.int tt.rng (Array.length tt.pool)) in
+    Proto.Add_path { tenant = tt.tenant; vertices }
+
+(* One op of a tenant's stream: adds and removes around 8 live paths,
+   reports and colour queries on ids this tenant's own replies returned. *)
+let tenant_step shard tt =
+  let req =
+    match Wl_util.Prng.int tt.rng 8 with
+    | 0 -> Proto.Report { tenant = tt.tenant }
+    | 1 when tt.live <> [] ->
+      let id = List.nth tt.live (Wl_util.Prng.int tt.rng (List.length tt.live)) in
+      Proto.Color_of { tenant = tt.tenant; id }
+    | k -> add_or_remove tt ~keep:(4 + k)
+  in
+  record tt req (Shard.call shard req)
+
+let test_threaded_concurrent_callers () =
+  let shard = Shard.create ~threaded:true ~shards:2 ~max_queue:64 () in
+  let tenants = Array.init 16 tree_tenant in
+  Array.iter
+    (fun tt ->
+      match Shard.call shard (Proto.Open { tenant = tt.tenant; instance = tt.base }) with
+      | Ok (Proto.R_open _) -> ()
+      | _ -> Alcotest.failf "open %s" tt.tenant)
+    tenants;
+  (* thread k drives tenants k, k+4, k+8, k+12, one op each in turn *)
+  run_watched 4 (fun k ->
+      for _ = 1 to 250 do
+        for j = 0 to 3 do
+          tenant_step shard tenants.(k + (4 * j));
+          Thread.yield ()
+        done
+      done);
+  let replay = Shard.create ~threaded:false ~shards:2 ~max_queue:64 () in
+  Array.iter
+    (fun tt ->
+      ignore (Shard.call replay (Proto.Open { tenant = tt.tenant; instance = tt.base }));
+      List.iter
+        (fun (req, reply) ->
+          let again = Shard.call replay req in
+          match req with
+          | Proto.Add_path _ | Proto.Remove_path _ ->
+            check (tt.tenant ^ " replay reply") true (again = reply)
+          | _ -> check (tt.tenant ^ " replay ok") true (Result.is_ok again))
+        (List.rev tt.log))
+    tenants;
+  let served = Shard.drain shard and replayed = Shard.drain replay in
+  check_int "sessions" 16 (List.length served);
+  List.iter2
+    (fun (tenant, s) (tenant', r) ->
+      Alcotest.(check string) "tenant order" tenant tenant';
+      check_int (tenant ^ " pi") (Engine.pi r) (Engine.pi s);
+      check (tenant ^ " live paths") true
+        (List.map (fun (id, p) -> (id, Wl_digraph.Dipath.vertices p)) (Engine.live_paths s)
+        = List.map (fun (id, p) -> (id, Wl_digraph.Dipath.vertices p)) (Engine.live_paths r));
+      check_int (tenant ^ " ops") (Engine.stats r).Engine.ops (Engine.stats s).Engine.ops;
+      let rep = Engine.report s in
+      check_int (tenant ^ " w = pi") rep.Solver.pi rep.Solver.n_wavelengths)
+    served replayed
+
+let test_threaded_drain_under_traffic () =
+  let shard = Shard.create ~threaded:true ~shards:2 ~max_queue:8 () in
+  let tenants = Array.init 8 tree_tenant in
+  Array.iter
+    (fun tt -> ignore (Shard.call shard (Proto.Open { tenant = tt.tenant; instance = tt.base })))
+    tenants;
+  let started = Atomic.make 0 in
+  let drained = ref [] in
+  (* threads 0-3 churn tenants k and k+4 until the drain turns them away;
+     thread 4 drains once the churn is under way *)
+  run_watched 5 (fun k ->
+      if k = 4 then begin
+        while Atomic.get started < 200 do
+          Thread.yield ()
+        done;
+        (* the listing is quiescent: its counts are final already *)
+        drained :=
+          List.map (fun (tenant, s) -> (tenant, (s, (Engine.stats s).Engine.ops))) (Shard.drain shard)
+      end
+      else begin
+        let stop = ref false and j = ref 0 in
+        while not !stop do
+          let tt = tenants.(k + (4 * (!j land 1))) in
+          incr j;
+          Atomic.incr started;
+          let req = add_or_remove tt ~keep:6 in
+          match Shard.call shard req with
+          | Error (Error.Precondition "server draining") -> stop := true
+          | reply ->
+            record tt req reply;
+            Thread.yield ()
+        done
+      end);
+  (* a call either ran or was turned away: each session holds exactly
+     the mutations whose replies said Ok *)
+  check_int "sessions at drain" 8 (List.length !drained);
+  Array.iter
+    (fun tt ->
+      let s, ops_at_drain = List.assoc tt.tenant !drained in
+      check_int (tt.tenant ^ " ops at drain") (List.length tt.log) ops_at_drain;
+      check_int (tt.tenant ^ " ops") ops_at_drain (Engine.stats s).Engine.ops;
+      check_int (tt.tenant ^ " live") (List.length tt.live) (Engine.n_live_paths s))
+    tenants;
+  match Shard.call shard (Proto.Pi { tenant = "c00" }) with
+  | Error (Error.Precondition _) -> ()
+  | _ -> Alcotest.fail "a drained shard still answers"
+
+let test_threaded_wave_that_raises () =
+  (* An instance whose graph gained a back arc after it was built: the
+     session's first full solve raises (the synchronous shard lets the
+     exception through).  A threaded call must get a typed error, and
+     the shard must stay usable and drainable. *)
+  let bad () =
+    let inst = line3 () in
+    ignore (Wl_digraph.Digraph.add_arc (Instance.graph inst) 3 0);
+    Proto.Open { tenant = "bad"; instance = inst }
+  in
+  let sync = Shard.create ~threaded:false ~shards:1 ~max_queue:8 () in
+  check "the sync call raises" true
+    (match Shard.call sync (bad ()) with _ -> false | exception _ -> true);
+  let shard = Shard.create ~threaded:true ~shards:1 ~max_queue:8 () in
+  run_watched 1 (fun _ ->
+      (match Shard.call shard (bad ()) with
+      | Error (Error.Precondition _) -> ()
+      | _ -> Alcotest.fail "a raising wave must answer with Precondition");
+      (match Shard.call shard (Proto.Open { tenant = "good"; instance = line3 () }) with
+      | Ok (Proto.R_open _) -> ()
+      | _ -> Alcotest.fail "the shard is unusable after a raising wave");
+      ignore (Shard.drain shard))
+
 let suite =
   [
     ( "serve",
@@ -412,5 +620,11 @@ let suite =
         Alcotest.test_case "traced call span tree" `Quick
           test_traced_call_span_tree;
         Alcotest.test_case "unix socket daemon" `Quick test_daemon_roundtrip;
+        Alcotest.test_case "threaded shard, concurrent callers" `Quick
+          test_threaded_concurrent_callers;
+        Alcotest.test_case "threaded shard, drain under traffic" `Quick
+          test_threaded_drain_under_traffic;
+        Alcotest.test_case "threaded shard, raising wave" `Quick
+          test_threaded_wave_that_raises;
       ] );
   ]
