@@ -66,11 +66,14 @@ test -s wld_smoke_flight.t00063.jsonl
 "$WL" trace-check wld_smoke_flight.t00063.trace.json
 test -s wld_smoke_health.txt
 
-# One domain: churn, then SIGTERM must still drain and exit 0.
+# One domain: churn in both encodings — the JSON codec's larger frames
+# cross the daemon's buffered reader too — then SIGTERM must still drain
+# and exit 0.
 SOCK1=./wld_smoke1.sock
 "$WL" wld "unix:$SOCK1" --shards 1 &
 WLD1_PID=$!
 wait_bound "$SOCK1" "$WLD1_PID"
 "$STRESS" --daemon "unix:$SOCK1" --sessions 64 --client-threads 4 --ops 8
+"$STRESS" --daemon "unix:$SOCK1" --sessions 64 --client-threads 4 --ops 8 --json
 kill -TERM "$WLD1_PID"
 wait "$WLD1_PID"

@@ -4,9 +4,15 @@ module Engine = Wl_engine.Engine
 module Ctx = Wl_obs.Ctx
 module Trace = Wl_obs.Trace
 
-type transport =
-  | Local of Shard.t
-  | Remote of { fd : Unix.file_descr; m : Mutex.t }
+(* [m] serialises the round trips that share the socket and its reader. *)
+type remote = {
+  fd : Unix.file_descr;
+  reader : Wire.reader;
+  m : Mutex.t;
+  mutable broken : bool;
+}
+
+type transport = Local of Shard.t | Remote of remote
 
 type t = {
   transport : transport;
@@ -55,27 +61,38 @@ let call_local shard ~json ~ctx req =
       | Error e -> Error e
       | Ok reply -> reply))
 
-let call_remote fd m ~json ~ctx req =
-  Mutex.lock m;
+(* After a wire error the stream's framing is lost: the socket may still
+   hold the tail of a half-read or refused frame, which a later call would
+   take for its reply.  So the first one breaks the connection for good. *)
+let broken_error = Error.Io "connection broken by an earlier wire error"
+
+let call_remote c ~json ~ctx req =
+  Mutex.lock c.m;
   Fun.protect
-    ~finally:(fun () -> Mutex.unlock m)
+    ~finally:(fun () -> Mutex.unlock c.m)
     (fun () ->
-      Trace.with_span "wire.roundtrip" (fun () ->
-          match Wire.write fd (Proto.encode_request ~json ~ctx req) with
-          | Error e -> (Error e : Proto.reply)
-          | Ok () -> (
-            match Wire.read fd with
-            | Error e -> Error e
-            | Ok None -> Error (Error.Io "connection closed by server")
-            | Ok (Some payload) -> (
-              match Proto.decode_reply payload with
-              | Error e -> Error e
-              | Ok reply -> reply))))
+      if c.broken then (Error broken_error : Proto.reply)
+      else
+        Trace.with_span "wire.roundtrip" (fun () ->
+            let wire_error e =
+              c.broken <- true;
+              (Error e : Proto.reply)
+            in
+            match Wire.write c.fd (Proto.encode_request ~json ~ctx req) with
+            | Error e -> wire_error e
+            | Ok () -> (
+              match Wire.read_frame c.reader with
+              | Error e -> wire_error e
+              | Ok None -> wire_error (Error.Io "connection closed by server")
+              | Ok (Some payload) -> (
+                match Proto.decode_reply payload with
+                | Error e -> Error e
+                | Ok reply -> reply))))
 
 let dispatch t ~ctx req =
   match t.transport with
   | Local shard -> call_local shard ~json:t.json ~ctx req
-  | Remote { fd; m } -> call_remote fd m ~json:t.json ~ctx req
+  | Remote c -> call_remote c ~json:t.json ~ctx req
 
 (* A fresh span per call: a root when no trace is ambient, a child when
    the caller already runs inside one (so an app-level span groups its
@@ -146,7 +163,8 @@ let connect ?(json = false) ?(seed = 0) addr =
       in
       Ok
         {
-          transport = Remote { fd; m = Mutex.create () };
+          transport =
+            Remote { fd; reader = Wire.reader fd; m = Mutex.create (); broken = false };
           json;
           gen = Ctx.generator seed;
           gen_m = Mutex.create ();

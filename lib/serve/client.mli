@@ -37,7 +37,12 @@ val connect : ?json:bool -> ?seed:int -> string -> (t, Error.t) result
 (** Dial a daemon at an {!Server.address} string.  [json] selects the
     JSON mirror encoding for requests (replies come back in kind);
     default is the text form.  [seed] (default [0]) seeds the client's
-    {!Wl_obs.Ctx} id generator, so traced runs are reproducible. *)
+    {!Wl_obs.Ctx} id generator, so traced runs are reproducible.
+
+    The first wire error on the connection — a failed write, a malformed
+    or truncated reply frame, the server closing — is returned by that
+    call and breaks the connection: every later call returns
+    [Error (Io _)] without touching the socket, whose framing is lost. *)
 
 val local :
   ?json:bool ->

@@ -49,8 +49,9 @@ let payload_is_json p = String.length p > 0 && p.[0] = '{'
 (* A client Shutdown must stop the whole server, not just answer R_bye;
    sniff it before dispatch so the reply still goes out first. *)
 let conn_loop t fd =
+  let r = Wire.reader fd in
   let rec go () =
-    match Wire.read fd with
+    match Wire.read_frame r with
     | Ok None -> ()
     | Error e ->
       (try ignore (Wire.write fd (Proto.encode_reply (Error e))) with _ -> ())

@@ -5,11 +5,12 @@
     prefix can never make a reader allocate unboundedly: readers check the
     prefix {e before} allocating the payload buffer.
 
-    Two reader surfaces share one decoder:
+    Three reader surfaces share one length check:
 
     {ul
-    {- {!read} / {!write} for blocking file descriptors (the daemon and
-       the remote client);}
+    {- {!read_frame} over a per-connection {!reader}, for blocking
+       sockets (the daemon's connection threads and the remote client);}
+    {- {!read}, one unbuffered frame at a time off a descriptor;}
     {- {!unframe} for in-memory byte strings (the in-process loopback
        transport and the frame-level fuzz oracle).}}
 
@@ -49,6 +50,39 @@ val write : Unix.file_descr -> string -> (unit, Error.t) result
     unrepresentable payload. *)
 
 val read : Unix.file_descr -> (string option, Error.t) result
-(** Read one frame.  [Ok None] on a clean EOF at a frame boundary;
-    [Error (Parse _)] on EOF mid-frame or a bad length prefix;
-    [Error (Io _)] on a socket error. *)
+(** Read one frame with two reads, prefix then payload, and nothing past
+    it.  [Ok None] on a clean EOF at a frame boundary; [Error (Parse _)]
+    on EOF mid-frame or a zero or oversized length prefix; [Error (Io _)]
+    on a socket error.  [EINTR] is retried. *)
+
+(** {1 Buffered reader}
+
+    Each read syscall is a blocking section that gives up and then takes
+    back the domain's runtime lock, and a served op is a few microseconds
+    of engine work, so the reads set the cost of a small frame.  A
+    {!reader} makes one read per small frame instead of {!read}'s two:
+    one read fills its buffer, every frame already whole in it is sliced
+    out with no further syscall, and the bytes past a frame wait there for
+    the next call, so pipelined frames are never lost. *)
+
+val buffer_size : int
+(** The reader's buffer, 64 KiB: the most OCaml's [Unix.read] moves in
+    one call.  It is allocated once per reader and never grows. *)
+
+type reader
+(** A descriptor and its buffer.  Not thread-safe: one reader per
+    connection, used by one thread at a time. *)
+
+val reader : Unix.file_descr -> reader
+(** A reader on a blocking descriptor.  Read the descriptor only through
+    it from then on: bytes it has buffered are invisible to the fd. *)
+
+val read_frame : reader -> (string option, Error.t) result
+(** The next frame, with the errors of {!read}: [Ok None] only on EOF at
+    a frame boundary, [Parse] on a truncated prefix or payload or on a
+    zero or oversized length, [Io] on a socket error.  The length is
+    checked before any payload is read into or allocated, so a frame
+    longer than {!buffer_size} costs its own payload and nothing more:
+    the buffered bytes are copied out and the rest is read straight into
+    it.  After an error the reader's position is lost; drop the
+    connection. *)

@@ -56,6 +56,184 @@ let test_wire () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
+(* --- buffered frame reader ---------------------------------------------------- *)
+
+(* Frames whose [4 + len] is one short of, equal to and one past the
+   reader's buffer, and one far past it. *)
+let edge_lengths = [ Wire.buffer_size - 5; Wire.buffer_size - 4; Wire.buffer_size - 3 ]
+let big_length = (3 * Wire.buffer_size) + 17
+
+(* Run [f] on the read end of a socketpair whose other end a thread fills
+   with [chunks], one write each, then shuts: the reader sees exactly
+   these bytes, then EOF.  A writer the reader stopped listening to gets
+   EPIPE (SIGPIPE is ignored here) instead of blocking the join. *)
+let with_feed chunks f =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec write_all s off =
+    if off < String.length s then
+      write_all s (off + Unix.write_substring a s off (String.length s - off))
+  in
+  let writer =
+    Thread.create
+      (fun () ->
+        (try List.iter (fun c -> write_all c 0) chunks with Unix.Unix_error _ -> ());
+        try Unix.shutdown a Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close b;
+      Thread.join writer;
+      Unix.close a)
+    (fun () -> f b)
+
+(* Every frame a read function returns until it stops, and how it
+   stopped: [None] for a clean EOF, else the error. *)
+let read_all read =
+  let rec go acc =
+    match read () with
+    | Ok (Some p) -> go (p :: acc)
+    | Ok None -> (List.rev acc, None)
+    | Error e -> (List.rev acc, Some e)
+  in
+  go []
+
+(* [read_all] over one reader kept for the whole stream. *)
+let reader_frames chunks =
+  with_feed chunks (fun fd ->
+      let r = Wire.reader fd in
+      read_all (fun () -> Wire.read_frame r))
+
+let random_payload rng len = String.init len (fun _ -> Char.chr (Prng.int rng 256))
+
+(* Cut [s] at random points, into one byte per write, or not at all. *)
+let chunk rng s =
+  let n = String.length s in
+  match Prng.int rng 3 with
+  | 0 -> [ s ]
+  | 1 when n <= 4096 -> List.init n (fun i -> String.make 1 s.[i])
+  | _ ->
+    let cuts = List.sort_uniq compare (List.init (Prng.int rng 6) (fun _ -> Prng.int rng (n + 1))) in
+    let rec go prev = function
+      | [] -> [ String.sub s prev (n - prev) ]
+      | c :: rest -> String.sub s prev (c - prev) :: go c rest
+    in
+    go 0 cuts
+
+let prop_reader_matches_unframe =
+  qtest ~count:60 "read_frame = unframe_all over a socket" seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let length () =
+        match Prng.int rng 8 with
+        | 0 -> Prng.choose_list rng edge_lengths
+        | 1 when Prng.int rng 4 = 0 -> big_length
+        | _ -> 1 + Prng.int rng 40
+      in
+      let payloads = List.init (Prng.int rng 6) (fun _ -> random_payload rng (length ())) in
+      let bytes = String.concat "" (List.map Wire.frame payloads) in
+      let want = ok_exn "unframe_all" (Wire.unframe_all bytes) in
+      match reader_frames (chunk rng bytes) with
+      | got, None -> got = want && got = payloads
+      | _, Some e -> QCheck2.Test.fail_reportf "read_frame: %s" (Error.to_string e))
+
+let test_reader_inputs () =
+  let rng = Prng.create 15 in
+  let small = List.init 5 (fun i -> random_payload rng (1 + (7 * i))) in
+  let edge = List.map (random_payload rng) edge_lengths in
+  let big = random_payload rng big_length in
+  let cases =
+    [
+      ("several frames in one write", small, fun s -> [ s ]);
+      ("one byte per write", small, fun s -> List.init (String.length s) (fun i -> String.make 1 s.[i]));
+      ("frames around the buffer edge", small @ edge @ small, fun s -> [ s ]);
+      ("around the edge, split mid-prefix", edge, fun s ->
+          let k = Wire.buffer_size - 2 in
+          [ String.sub s 0 k; String.sub s k (String.length s - k) ]);
+      ("a frame far larger than the buffer", small @ [ big ] @ small, fun s -> [ s ]);
+      ("the large frame in 1000-byte writes", [ big; "tail" ], fun s ->
+          List.init ((String.length s + 999) / 1000) (fun i ->
+              String.sub s (i * 1000) (min 1000 (String.length s - (i * 1000)))));
+    ]
+  in
+  List.iter
+    (fun (what, payloads, split) ->
+      let bytes = String.concat "" (List.map Wire.frame payloads) in
+      match reader_frames (split bytes) with
+      | got, None -> check what true (got = payloads)
+      | _, Some e -> Alcotest.failf "%s: %s" what (Error.to_string e))
+    cases
+
+(* EOF after every byte count: both readers stop with [None] exactly at a
+   frame boundary and with [Parse] anywhere else, after the same frames. *)
+let test_reader_truncation () =
+  let rng = Prng.create 16 in
+  let check_cuts payloads cuts =
+    let bytes = String.concat "" (List.map Wire.frame payloads) in
+    let boundaries =
+      List.fold_left (fun acc p -> (List.hd acc + 4 + String.length p) :: acc) [ 0 ] payloads
+    in
+    List.iter
+      (fun k ->
+        let prefix = String.sub bytes 0 k in
+        let outcome (frames, stop) =
+          ( frames,
+            match stop with
+            | None -> "eof"
+            | Some (Error.Parse _) -> "parse"
+            | Some e -> Error.to_string e )
+        in
+        let buffered = outcome (reader_frames [ prefix ]) in
+        let plain = outcome (with_feed [ prefix ] (fun fd -> read_all (fun () -> Wire.read fd))) in
+        let want = if List.mem k boundaries then "eof" else "parse" in
+        if snd buffered <> want || buffered <> plain then
+          Alcotest.failf "eof after %d bytes: read_frame %s after %d frames, read %s after %d"
+            k (snd buffered) (List.length (fst buffered)) (snd plain) (List.length (fst plain)))
+      cuts
+  in
+  let small = List.init 3 (fun i -> random_payload rng (1 + (5 * i))) in
+  let n = String.length (String.concat "" (List.map Wire.frame small)) in
+  check_cuts small (List.init (n + 1) Fun.id);
+  let big = [ "x"; random_payload rng big_length ] in
+  let n = 5 + 4 + big_length in
+  check_cuts big [ 5; 6; 8; 9; 10; Wire.buffer_size; Wire.buffer_size + 1; n - 1; n ]
+
+let prefix_of n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+
+(* A zero or oversized prefix is refused as soon as it arrives: the
+   writer stays open and sends no payload, so a reader that waited for
+   one would hit the receive timeout instead; and nothing near the
+   claimed size is allocated. *)
+let test_reader_bad_lengths () =
+  List.iter
+    (fun (what, prefix) ->
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.setsockopt_float b Unix.SO_RCVTIMEO 2.0;
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close a;
+          Unix.close b)
+        (fun () ->
+          let refused what read =
+            ignore (Unix.write_substring a prefix 0 4);
+            let before = Gc.allocated_bytes () in
+            let got = read () in
+            let allocated = Gc.allocated_bytes () -. before in
+            (match got with
+            | Error (Error.Parse _) -> ()
+            | Error e -> Alcotest.failf "%s: want Parse, got %s" what (Error.to_string e)
+            | Ok _ -> Alcotest.failf "%s: accepted a bad length" what);
+            if allocated > 4096. then Alcotest.failf "%s: allocated %.0f bytes" what allocated
+          in
+          let r = Wire.reader b in
+          refused (what ^ ", read_frame") (fun () -> Wire.read_frame r);
+          refused (what ^ ", read") (fun () -> Wire.read b)))
+    [
+      ("zero length", "\000\000\000\000");
+      ("max_frame + 1", prefix_of (Wire.max_frame + 1));
+      ("all ones", "\255\255\255\255");
+    ]
+
 (* --- protocol codecs --------------------------------------------------------- *)
 
 let test_tenants () =
@@ -396,6 +574,98 @@ let test_daemon_roundtrip () =
   | _ -> Alcotest.fail "unexpected drain listing");
   check "socket unlinked" false (Sys.file_exists path)
 
+(* A raw connection to a daemon, for byte streams no [Client] sends. *)
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let send_raw fd s = check_int "one write" (Unix.write_substring fd s 0 (String.length s)) (String.length s)
+
+let read_reply what fd =
+  match Wire.read fd with
+  | Ok (Some p) -> ok_exn what (Proto.decode_reply p)
+  | Ok None -> Alcotest.failf "%s: connection closed" what
+  | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e)
+
+let with_daemon ~shards f =
+  let path = Filename.temp_file "wld_test" ".sock" in
+  Sys.remove path;
+  let shard = Shard.create ~threaded:true ~shards ~max_queue:64 () in
+  let srv = ok_exn "serve" (Server.serve ~shard (Server.Unix_sock path)) in
+  f path;
+  let c = ok_exn "connect" (Client.connect ("unix:" ^ path)) in
+  ok_exn "shutdown" (Client.shutdown_server c);
+  Client.close c;
+  ignore (Server.wait srv);
+  check "socket unlinked" false (Sys.file_exists path)
+
+let request req = Wire.frame (Proto.encode_request req)
+
+(* Two requests in one segment: the daemon's reader slices both out of
+   one read and answers each, in order. *)
+let test_daemon_pipelined () =
+  with_daemon ~shards:1 (fun path ->
+      let fd = raw_connect path in
+      send_raw fd (request Proto.Ping ^ request (Proto.Hello Proto.version));
+      check "first reply" true (read_reply "pong" fd = Ok Proto.R_pong);
+      check "second reply" true (read_reply "hello" fd = Ok (Proto.R_hello Proto.version));
+      Unix.close fd)
+
+(* A valid request with garbage behind it in the same segment: the
+   request is answered, the garbage gets an error frame and the daemon
+   hangs up; another connection is served on, and the drain is clean. *)
+let test_daemon_garbage_after_frame () =
+  with_daemon ~shards:2 (fun path ->
+      let fd = raw_connect path in
+      send_raw fd (request Proto.Ping ^ "\255\255\255\255junk");
+      check "valid request answered" true (read_reply "pong" fd = Ok Proto.R_pong);
+      (match read_reply "error frame" fd with
+      | Error (Error.Parse _) -> ()
+      | _ -> Alcotest.fail "want a Parse error frame for the garbage");
+      check "connection closed" true (Wire.read fd = Ok None);
+      Unix.close fd;
+      let c = ok_exn "connect" (Client.connect ("unix:" ^ path)) in
+      ok_exn "ping on a second connection" (Client.ping c);
+      Client.close c)
+
+(* A reply stream whose framing breaks — an oversized prefix, then a
+   valid pong — must not hand that pong to a later call: the first wire
+   error breaks the client's connection for good. *)
+let test_client_broken_after_wire_error () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path = Filename.temp_file "wld_fake" ".sock" in
+  Sys.remove path;
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let fake_server () =
+    let fd, _ = Unix.accept lfd in
+    (match Wire.read fd with
+    | Ok (Some _) ->
+      let bad = "\255\255\255\255" ^ Wire.frame (Proto.encode_reply (Ok Proto.R_pong)) in
+      ignore (Unix.write_substring fd bad 0 (String.length bad))
+    | _ -> ());
+    (* answer nothing more; read until the client hangs up *)
+    let rec drain () = match Wire.read fd with Ok (Some _) -> drain () | _ -> () in
+    drain ();
+    Unix.close fd
+  in
+  let server = Thread.create fake_server () in
+  let c = ok_exn "connect" (Client.connect ("unix:" ^ path)) in
+  (match Client.ping c with
+  | Error (Error.Parse _) -> ()
+  | Ok () -> Alcotest.fail "first ping: accepted an oversized reply"
+  | Error e -> Alcotest.failf "first ping: want Parse, got %s" (Error.to_string e));
+  (match Client.ping c with
+  | Error (Error.Io _) -> ()
+  | Ok () -> Alcotest.fail "second ping: took the stale pong for its reply"
+  | Error e -> Alcotest.failf "second ping: want Io, got %s" (Error.to_string e));
+  Client.close c;
+  Thread.join server;
+  Unix.close lfd;
+  Sys.remove path
+
 (* --- threaded shard under concurrent callers ---------------------------------- *)
 
 (* Run [f i] for i < n on threads spread over two domains and started
@@ -609,6 +879,10 @@ let suite =
     ( "serve",
       [
         Alcotest.test_case "wire framing" `Quick test_wire;
+        prop_reader_matches_unframe;
+        Alcotest.test_case "read_frame inputs" `Quick test_reader_inputs;
+        Alcotest.test_case "read_frame truncation" `Quick test_reader_truncation;
+        Alcotest.test_case "read_frame bad lengths" `Quick test_reader_bad_lengths;
         Alcotest.test_case "tenant ids" `Quick test_tenants;
         Alcotest.test_case "error frames" `Quick test_error_frames;
         Alcotest.test_case "request round trips" `Quick test_request_roundtrip;
@@ -620,6 +894,11 @@ let suite =
         Alcotest.test_case "traced call span tree" `Quick
           test_traced_call_span_tree;
         Alcotest.test_case "unix socket daemon" `Quick test_daemon_roundtrip;
+        Alcotest.test_case "daemon, pipelined requests" `Quick test_daemon_pipelined;
+        Alcotest.test_case "daemon, garbage after a frame" `Quick
+          test_daemon_garbage_after_frame;
+        Alcotest.test_case "client, wire error breaks the connection" `Quick
+          test_client_broken_after_wire_error;
         Alcotest.test_case "threaded shard, concurrent callers" `Quick
           test_threaded_concurrent_callers;
         Alcotest.test_case "threaded shard, drain under traffic" `Quick
