@@ -653,8 +653,8 @@ let wlrpc_frame =
     let eng = Engine.create inst in
     let b = Engine.submit eng s.Subject.ops in
     let rep = Proto.report_of_solver b.Engine.batch_report in
-    (* Dyadic rates so float round-trip exactness is never in question;
-       the latency fields are plain ints. *)
+    (* Rates that need all 17 significant digits: both encodings must
+       carry them exactly. *)
     let health =
       {
         Proto.healthy = true;
@@ -662,8 +662,8 @@ let wlrpc_frame =
         add_p99 = 3400;
         remove_p50 = 5;
         remove_p99 = 97;
-        warm_hit_recent = 0.5;
-        warm_hit_lifetime = 0.25;
+        warm_hit_recent = 2. /. 3.;
+        warm_hit_lifetime = 0.1;
         fallback_streak = 1;
       }
     in

@@ -199,7 +199,7 @@ let of_string text =
 
 (* --- JSON mirror ----------------------------------------------------------- *)
 
-let to_json ?pretty inst =
+let to_jsonx inst =
   let g = Instance.graph inst in
   let labels =
     let acc = ref [] in
@@ -219,15 +219,16 @@ let to_json ?pretty inst =
       (fun p -> Jsonx.Arr (List.map (fun v -> Jsonx.Int v) (Dipath.vertices p)))
       (Instance.paths_list inst)
   in
-  Jsonx.to_string ?pretty
-    (Jsonx.Obj
-       ([
-          ("format", Jsonx.Str "wl-instance");
-          ("version", Jsonx.Int current_version);
-          ("vertices", Jsonx.Int (Digraph.n_vertices g));
-        ]
-       @ (if labels = [] then [] else [ ("labels", Jsonx.Obj labels) ])
-       @ [ ("arcs", Jsonx.Arr arcs); ("paths", Jsonx.Arr paths) ]))
+  Jsonx.Obj
+    ([
+       ("format", Jsonx.Str "wl-instance");
+       ("version", Jsonx.Int current_version);
+       ("vertices", Jsonx.Int (Digraph.n_vertices g));
+     ]
+    @ (if labels = [] then [] else [ ("labels", Jsonx.Obj labels) ])
+    @ [ ("arcs", Jsonx.Arr arcs); ("paths", Jsonx.Arr paths) ])
+
+let to_json ?pretty inst = Jsonx.to_string ?pretty (to_jsonx inst)
 
 let json_err msg = Error (Error.Parse { line = 0; msg })
 
@@ -259,10 +260,8 @@ let rec map_result f = function
     | Error _ as e -> e
     | Ok y -> ( match map_result f rest with Ok ys -> Ok (y :: ys) | Error _ as e -> e))
 
-let of_json text =
-  match Jsonx.parse text with
-  | Error msg -> json_err msg
-  | Ok (Jsonx.Obj _ as json) -> (
+let of_jsonx = function
+  | Jsonx.Obj _ as json -> (
     (match Jsonx.member "format" json with
     | Some (Jsonx.Str "wl-instance") | None -> Ok ()
     | Some (Jsonx.Str other) -> json_err (Printf.sprintf "unknown format %S" other)
@@ -329,7 +328,10 @@ let of_json text =
                 |> function
                 | Error _ as e -> e
                 | Ok () -> Instance.of_vertex_seqs g paths)))))))
-  | Ok _ -> json_err "expected a JSON object"
+  | _ -> json_err "expected a JSON object"
+
+let of_json text =
+  match Jsonx.parse text with Error msg -> json_err msg | Ok json -> of_jsonx json
 
 (* --- files ----------------------------------------------------------------- *)
 

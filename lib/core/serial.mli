@@ -58,6 +58,12 @@ val of_json : string -> (Instance.t, Error.t) result
 (** Parses the JSON mirror.  Same error domain as {!of_string}; JSON syntax
     errors surface as [Parse]. *)
 
+val to_jsonx : Instance.t -> Wl_json.Jsonx.t
+(** The JSON mirror as a tree: {!to_json} prints exactly this. *)
+
+val of_jsonx : Wl_json.Jsonx.t -> (Instance.t, Error.t) result
+(** {!of_json} on an already parsed tree. *)
+
 val write_file : ?version:int -> string -> Instance.t -> unit
 (** Writes the text format.  Raises like {!to_string}, plus [Sys_error]. *)
 

@@ -70,7 +70,7 @@ let of_string text =
   in
   go 1 [] (String.split_on_char '\n' text)
 
-let to_json ?pretty ops =
+let to_jsonx ops =
   let op_json = function
     | Engine.Add_path verts ->
       Jsonx.Obj
@@ -84,20 +84,19 @@ let to_json ?pretty ops =
       Jsonx.Obj
         [ ("op", Jsonx.Str "add_arc"); ("from", Jsonx.Int u); ("to", Jsonx.Int v) ]
   in
-  Jsonx.to_string ?pretty
-    (Jsonx.Obj
-       [
-         ("format", Jsonx.Str "wl-ops");
-         ("version", Jsonx.Int current_version);
-         ("ops", Jsonx.Arr (List.map op_json ops));
-       ])
+  Jsonx.Obj
+    [
+      ("format", Jsonx.Str "wl-ops");
+      ("version", Jsonx.Int current_version);
+      ("ops", Jsonx.Arr (List.map op_json ops));
+    ]
+
+let to_json ?pretty ops = Jsonx.to_string ?pretty (to_jsonx ops)
 
 let json_err msg = Error (Error.Parse { line = 0; msg })
 
-let of_json text =
-  match Jsonx.parse text with
-  | Error msg -> json_err msg
-  | Ok (Jsonx.Obj _ as json) -> (
+let of_jsonx = function
+  | Jsonx.Obj _ as json -> (
     (match Jsonx.member "format" json with
     | Some (Jsonx.Str "wl-ops") | None -> Ok ()
     | Some (Jsonx.Str other) -> json_err (Printf.sprintf "unknown format %S" other)
@@ -154,7 +153,10 @@ let of_json text =
               | Error _ as e -> e)
           in
           go [] ops)))
-  | Ok _ -> json_err "expected a JSON object"
+  | _ -> json_err "expected a JSON object"
+
+let of_json text =
+  match Jsonx.parse text with Error msg -> json_err msg | Ok json -> of_jsonx json
 
 let read_file path =
   match

@@ -34,6 +34,12 @@ val of_string : string -> (t, Error.t) result
 val to_json : ?pretty:bool -> t -> string
 val of_json : string -> (t, Error.t) result
 
+val to_jsonx : t -> Wl_json.Jsonx.t
+(** The JSON mirror as a tree: {!to_json} prints exactly this. *)
+
+val of_jsonx : Wl_json.Jsonx.t -> (t, Error.t) result
+(** {!of_json} on an already parsed tree. *)
+
 val read_file : string -> (t, Error.t) result
 (** Reads either form, sniffing JSON by a leading ['{']. *)
 

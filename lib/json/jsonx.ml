@@ -13,6 +13,10 @@ exception Fail of int * string (* byte position, message *)
 
 type cursor = { text : string; mutable pos : int }
 
+(* Arrays and objects nest at most this deep: the parser recurses once per
+   level, and a frame of unclosed brackets must cost linear time. *)
+let max_depth = 512
+
 let fail cur msg = raise (Fail (cur.pos, msg))
 let peek cur = if cur.pos < String.length cur.text then Some cur.text.[cur.pos] else None
 
@@ -126,10 +130,12 @@ let parse_number cur =
     | Some i -> Int i
     | None -> fail cur (Printf.sprintf "bad number %S" lexeme)
 
-let rec parse_value cur =
+let rec parse_value depth cur =
   skip_ws cur;
   match peek cur with
   | None -> fail cur "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth ->
+    fail cur (Printf.sprintf "nesting deeper than %d levels" max_depth)
   | Some '{' ->
     advance cur;
     skip_ws cur;
@@ -143,7 +149,7 @@ let rec parse_value cur =
         let key = parse_string cur in
         skip_ws cur;
         expect cur ':';
-        let v = parse_value cur in
+        let v = parse_value (depth + 1) cur in
         skip_ws cur;
         match peek cur with
         | Some ',' ->
@@ -165,7 +171,7 @@ let rec parse_value cur =
     end
     else begin
       let rec elements acc =
-        let v = parse_value cur in
+        let v = parse_value (depth + 1) cur in
         skip_ws cur;
         match peek cur with
         | Some ',' ->
@@ -195,7 +201,7 @@ let line_of text pos =
 let parse text =
   let cur = { text; pos = 0 } in
   match
-    let v = parse_value cur in
+    let v = parse_value 0 cur in
     skip_ws cur;
     (match peek cur with
     | Some c -> fail cur (Printf.sprintf "trailing garbage starting with %C" c)
@@ -224,6 +230,15 @@ let escape_into buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest of 15, 16 or 17 significant digits that reads back as the
+   same float; 17 always does. *)
+let float_repr f =
+  let s15 = Printf.sprintf "%.15g" f in
+  if float_of_string s15 = f then s15
+  else
+    let s16 = Printf.sprintf "%.16g" f in
+    if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+
 let to_string ?(pretty = false) v =
   let buf = Buffer.create 256 in
   let indent depth =
@@ -239,7 +254,7 @@ let to_string ?(pretty = false) v =
     | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+      else Buffer.add_string buf (float_repr f)
     | Str s -> escape_into buf s
     | Arr [] -> Buffer.add_string buf "[]"
     | Arr xs ->

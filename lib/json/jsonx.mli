@@ -17,11 +17,14 @@ type t =
   | Obj of (string * t) list
 
 val parse : string -> (t, string) result
-(** Error messages carry the (1-based) line of the offending byte. *)
+(** Error messages carry the (1-based) line of the offending byte.  Arrays
+    and objects nested more than 512 deep are an error, so parse time
+    stays linear in the input. *)
 
 val to_string : ?pretty:bool -> t -> string
 (** Compact by default; [~pretty:true] indents objects and arrays by two
-    spaces. *)
+    spaces.  A [Float] prints as the shortest of 15, 16 or 17 significant
+    digits that reads back exactly (integral values as [%.1f]). *)
 
 (** {1 Accessors} — all total, [None] on shape mismatch. *)
 

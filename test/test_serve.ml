@@ -321,6 +321,40 @@ let test_request_roundtrip () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
+let test_json_floats_exact () =
+  (* Rates that need 16 or 17 significant digits come back bit for bit
+     from the JSON mirror, as they do from the text form. *)
+  let h =
+    {
+      Proto.healthy = true; add_p50 = 1; add_p99 = 2; remove_p50 = 3; remove_p99 = 4;
+      warm_hit_recent = 2. /. 3.; warm_hit_lifetime = 0.1; fallback_streak = 0;
+    }
+  in
+  List.iter
+    (fun json ->
+      match Proto.decode_reply (Proto.encode_reply ~json (Ok (Proto.R_health h))) with
+      | Ok (Ok (Proto.R_health h')) ->
+        check "2/3 exact" true (h'.Proto.warm_hit_recent = 2. /. 3.);
+        check "0.1 exact" true (h'.Proto.warm_hit_lifetime = 0.1)
+      | _ -> Alcotest.fail "health reply did not decode")
+    [ false; true ]
+
+let test_json_nesting_capped () =
+  (* A deep but balanced array in an unknown field is refused as a Parse
+     error instead of being walked level by level. *)
+  let depth = 100_000 in
+  let frame =
+    "{\"wlrpc\": 1, \"verb\": \"ping\", \"x\": " ^ String.make depth '['
+    ^ String.make depth ']' ^ "}"
+  in
+  (match Proto.decode_request frame with
+  | Error (Error.Parse _) -> ()
+  | Ok _ -> Alcotest.fail "deeply nested request accepted"
+  | Error e -> Alcotest.failf "want Parse, got %s" (Error.to_string e));
+  (* Nesting within the cap still parses. *)
+  let shallow = "{\"wlrpc\": 1, \"verb\": \"ping\", \"x\": [[[[]]]]}" in
+  check "shallow nesting" true (Proto.decode_request shallow = Ok Proto.Ping)
+
 let test_addresses () =
   let round s expect =
     match Server.address_of_string s with
@@ -886,6 +920,8 @@ let suite =
         Alcotest.test_case "tenant ids" `Quick test_tenants;
         Alcotest.test_case "error frames" `Quick test_error_frames;
         Alcotest.test_case "request round trips" `Quick test_request_roundtrip;
+        Alcotest.test_case "json floats exact" `Quick test_json_floats_exact;
+        Alcotest.test_case "json nesting capped" `Quick test_json_nesting_capped;
         Alcotest.test_case "addresses" `Quick test_addresses;
         Alcotest.test_case "loopback client" `Quick test_loopback;
         Alcotest.test_case "json loopback batch" `Quick test_loopback_json_and_batch;
