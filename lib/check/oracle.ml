@@ -647,6 +647,9 @@ let wlrpc_frame =
         Proto.Dhealth;
         Proto.Trace_dump { last = 0 };
         Proto.Trace_dump { last = 64 };
+        Proto.Add_path { tenant = t; vertices = [ 0; 1; 2 ] };
+        Proto.Remove_path { tenant = t; id = 0 };
+        Proto.Add_arc { tenant = t; tail = 0; head = 1 };
       ]
       @ List.map req_of_op s.Subject.ops
     in
@@ -768,6 +771,23 @@ let wlrpc_frame =
         Ok (Proto.R_trace "{\"traceEvents\": [\n  {\"ph\": \"X\"}\n]}\n");
       ]
       @ List.map (fun e -> (Error e : Proto.reply)) every_error
+    in
+    (* Every verb in the schema has a sample: a verb added to the schema
+       fails this check until it is sampled here. *)
+    let coverage () =
+      let reply_verb r =
+        let head = List.hd (String.split_on_char '\n' (Proto.encode_reply r)) in
+        match String.split_on_char ' ' head with
+        | "wlrpc" :: _ :: "ok" :: verb :: _ -> Some verb
+        | _ -> None
+      in
+      let missing sampled = List.filter (fun v -> not (List.mem v sampled)) in
+      match
+        missing (List.map Proto.verb_of_req reqs) Proto.request_verbs
+        @ missing (List.filter_map reply_verb replies) Proto.reply_verbs
+      with
+      | [] -> None
+      | verbs -> fail "schema verbs without a sample: %s" (String.concat ", " verbs)
     in
     let encodings = [ false; true ] in
     let round_trip_req json r =
@@ -951,6 +971,7 @@ let wlrpc_frame =
     first
       (fun f -> f ())
       ([
+         coverage;
          (fun () ->
            first
              (fun json -> first (round_trip_req json) reqs)

@@ -91,8 +91,9 @@ let of_string s =
     let b = String.sub s (i + 1) (String.length s - i - 1) in
     if not (hex_ok a && hex_ok b) then None
     else
-      let trace_id = int_of_string ("0x" ^ a) in
-      let span_id = int_of_string ("0x" ^ b) in
-      if trace_id = 0 || trace_id land lnot mask62 <> 0 || span_id land lnot mask62 <> 0
-      then None
-      else Some { trace_id; span_id; parent_id = 0 }
+      (* Sixteen hex digits can exceed an OCaml int: that is a [None]. *)
+      match (int_of_string_opt ("0x" ^ a), int_of_string_opt ("0x" ^ b)) with
+      | Some trace_id, Some span_id
+        when trace_id <> 0 && trace_id land lnot mask62 = 0 && span_id land lnot mask62 = 0 ->
+        Some { trace_id; span_id; parent_id = 0 }
+      | _ -> None

@@ -7,1234 +7,655 @@ module Ctx = Wl_obs.Ctx
 let version = 1
 
 let tenant_ok t =
-  let n = String.length t in
-  n > 0 && n <= 128
-  && String.for_all
-       (function 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' | '-' -> true | _ -> false)
-       t
-
-let check_tenant t = if not (tenant_ok t) then invalid_arg ("Proto: invalid tenant id " ^ t)
+  let ok = function 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' | '-' -> true | _ -> false in
+  String.length t > 0 && String.length t <= 128 && String.for_all ok t
 
 type req =
-  | Hello of int
-  | Ping
-  | Shutdown
+  | Hello of int | Ping | Shutdown
   | Open of { tenant : string; instance : Instance.t }
   | Add_path of { tenant : string; vertices : int list }
   | Remove_path of { tenant : string; id : int }
   | Add_arc of { tenant : string; tail : int; head : int }
   | Submit of { tenant : string; ops : Engine.op list }
-  | Report of { tenant : string }
-  | Pi of { tenant : string }
+  | Report of { tenant : string } | Pi of { tenant : string }
   | Color_of of { tenant : string; id : int }
-  | Stats of { tenant : string }
-  | Health of { tenant : string }
-  | Snapshot of { tenant : string }
-  | Evict of { tenant : string }
-  (* Daemon-wide introspection (no tenant): answered from shard-local
-     observability state without entering any engine hot path. *)
-  | Dstats
-  | Dhealth
-  | Trace_dump of { last : int }
-
-let verb_of_req = function
-  | Hello _ -> "hello"
-  | Ping -> "ping"
-  | Shutdown -> "shutdown"
-  | Open _ -> "open"
-  | Add_path _ -> "add_path"
-  | Remove_path _ -> "remove_path"
-  | Add_arc _ -> "add_arc"
-  | Submit _ -> "submit"
-  | Report _ -> "report"
-  | Pi _ -> "pi"
-  | Color_of _ -> "color_of"
-  | Stats _ -> "stats"
-  | Health _ -> "health"
-  | Snapshot _ -> "snapshot"
-  | Evict _ -> "evict"
-  | Dstats -> "dstats"
-  | Dhealth -> "dhealth"
-  | Trace_dump _ -> "tracedump"
+  | Stats of { tenant : string } | Health of { tenant : string }
+  | Snapshot of { tenant : string } | Evict of { tenant : string }
+  | Dstats | Dhealth | Trace_dump of { last : int }
 
 type report = { n_wavelengths : int; pi : int; optimal : bool; method_name : string }
 
 type health = {
-  healthy : bool;
-  add_p50 : int;
-  add_p99 : int;
-  remove_p50 : int;
-  remove_p99 : int;
-  warm_hit_recent : float;
-  warm_hit_lifetime : float;
-  fallback_streak : int;
+  healthy : bool; add_p50 : int; add_p99 : int; remove_p50 : int; remove_p99 : int;
+  warm_hit_recent : float; warm_hit_lifetime : float; fallback_streak : int;
 }
 
 type outcome = O_path of int | O_removed of int | O_arc of int
 
-(* Shard-merged latency rollup: the [Hdr.merge_into] figures across every
-   shard's histograms, plus the daemon-wide exemplar ([l_ex_trace = 0]
-   when no traced sample was seen). *)
 type lat_rollup = {
-  l_count : int;
-  l_p50 : int;
-  l_p90 : int;
-  l_p99 : int;
-  l_p999 : int;
-  l_max : int;
-  l_ex_ns : int;
-  l_ex_trace : int;
+  l_count : int; l_p50 : int; l_p90 : int; l_p99 : int; l_p999 : int; l_max : int;
+  l_ex_ns : int; l_ex_trace : int;
 }
 
 type tenant_row = {
-  r_tenant : string;
-  r_shard : int;
-  r_paths : int;
-  r_pi : int;
-  r_ops : int;
-  r_add_p50 : int;
-  r_add_p99 : int;
-  r_healthy : bool;
+  r_tenant : string; r_shard : int; r_paths : int; r_pi : int; r_ops : int;
+  r_add_p50 : int; r_add_p99 : int; r_healthy : bool;
 }
 
 type dstats = {
-  d_shards : int;
-  d_sessions : int;
-  d_add : lat_rollup;
-  d_remove : lat_rollup;
+  d_shards : int; d_sessions : int; d_add : lat_rollup; d_remove : lat_rollup;
   d_tenants : tenant_row list;
 }
 
 type dhealth = { dh_healthy : bool; dh_sessions : int; dh_unhealthy : string list }
 
 type resp =
-  | R_hello of int
-  | R_pong
-  | R_bye
-  | R_open of report
-  | R_path of int
-  | R_removed of int
-  | R_arc of int
-  | R_report of report
-  | R_pi of int
-  | R_color of int
-  | R_stats of Engine.stats
+  | R_hello of int | R_pong | R_bye | R_open of report | R_path of int | R_removed of int
+  | R_arc of int | R_report of report | R_pi of int | R_color of int | R_stats of Engine.stats
   | R_health of health
   | R_outcomes of { outcomes : (outcome, Error.t) result array; after : report }
-  | R_snapshot of Instance.t
-  | R_evicted
-  | R_dstats of dstats
-  | R_dhealth of dhealth
-  | R_trace of string  (** a complete Chrome trace document *)
+  | R_snapshot of Instance.t | R_evicted | R_dstats of dstats | R_dhealth of dhealth
+  | R_trace of string
 
 type reply = (resp, Error.t) result
 
 let report_of_solver (r : Solver.report) =
-  {
-    n_wavelengths = r.Solver.n_wavelengths;
-    pi = r.Solver.pi;
-    optimal = r.Solver.optimal;
-    method_name = Solver.method_name r.Solver.method_used;
-  }
+  { n_wavelengths = r.n_wavelengths; pi = r.pi; optimal = r.optimal;
+    method_name = Solver.method_name r.method_used }
 
 let health_of_engine (h : Engine.health) =
-  {
-    healthy = h.Engine.healthy;
-    add_p50 = h.Engine.add_latency.Wl_obs.Hdr.p50;
-    add_p99 = h.Engine.add_latency.Wl_obs.Hdr.p99;
-    remove_p50 = h.Engine.remove_latency.Wl_obs.Hdr.p50;
-    remove_p99 = h.Engine.remove_latency.Wl_obs.Hdr.p99;
-    warm_hit_recent = h.Engine.warm_hit_recent;
-    warm_hit_lifetime = h.Engine.warm_hit_lifetime;
-    fallback_streak = h.Engine.fallback_streak;
-  }
+  { healthy = h.healthy; add_p50 = h.add_latency.p50; add_p99 = h.add_latency.p99;
+    remove_p50 = h.remove_latency.p50; remove_p99 = h.remove_latency.p99;
+    warm_hit_recent = h.warm_hit_recent; warm_hit_lifetime = h.warm_hit_lifetime;
+    fallback_streak = h.fallback_streak }
 
 let outcome_of_engine = function
   | Engine.Path_added id -> O_path id
   | Engine.Path_removed id -> O_removed id
   | Engine.Arc_added a -> O_arc a
 
+(* --- the schema ------------------------------------------------------------ *)
+
+(* Every message is one schema entry: a verb and an ordered list of typed
+   fields, each with a JSON key.  Text writes the fields as positional
+   tokens after the verb on the head line; what follows that line is the
+   body.  JSON writes them under their keys, after ["verb"]; the empty key
+   puts an object's keys inline.  Field values travel as a [values] list,
+   typed field by field. *)
+type _ values = [] : unit values | ( :: ) : 'a * 'b values -> ('a * 'b) values
+
+type _ kind =
+  | Int : int kind
+  | Hex : int kind  (** text: hex digits without [0x]; JSON: a number *)
+  | Bool : bool kind
+  | Float : float kind
+  | Word : (string -> bool) -> string kind  (** a token the predicate accepts *)
+  | Many : 'a kind * bool -> 'a list kind  (** text: the rest of the line, counted if [true] *)
+  | Record : 'a record -> 'a kind
+  | Rows : string * 'a record -> 'a list kind
+      (** text: a count, then one body line per row led by the tag; JSON: an
+          array, after every other key *)
+  | Message : 'a case list -> 'a kind  (** JSON: ["verb"], then the fields *)
+  | Choice : 'a case list -> 'a kind  (** one-field entries; JSON: the verb as key *)
+  | Err : Error.t kind
+  | Body : 'a body -> 'a kind  (** text: the whole body; always the last field *)
+
+and 'a record = Rec : 'v fields * ('v values -> 'a) * ('a -> 'v values) -> 'a record
+and _ fields = [] : unit fields | ( :: ) : (string * 'a kind) * 'b fields -> ('a * 'b) fields
+
+(* A schema entry: verb, fields, and the way to and from the message. *)
+and 'm case =
+  | Case : {
+      verb : string; fields : 'v fields; inj : 'v values -> 'm; prj : 'm -> 'v values option;
+    } -> 'm case
+
+(* A verbatim document: its text form and its JSON tree. *)
+and 'a body = {
+  to_text : 'a -> string; of_text : string -> ('a, Error.t) result;
+  to_json : 'a -> Jsonx.t; of_json : Jsonx.t -> ('a, Error.t) result;
+}
+
+let case verb fields inj prj = Case { verb; fields; inj; prj }
+let int k = (k, Int)
+let bool k = (k, Bool)
+let tenant = ("tenant", Word tenant_ok)
+let flat r = ("", Record r)
 let proto_error msg = Error.Parse { line = 0; msg }
 
-(* --- structured errors on the wire ----------------------------------------- *)
+(* An entry with one field, and one without any for a constant constructor. *)
+let one verb field inj prj =
+  case verb [ field ] (fun [ v ] -> inj v) (fun m -> Option.map (fun v : _ values -> [ v ]) (prj m))
 
-(* One line, message field last so it may contain spaces; newlines and
-   backslashes escape so the line stays a line. *)
-let escape_nl s =
-  if String.for_all (fun c -> c <> '\n' && c <> '\\') s then s
-  else begin
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (function
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  end
+let none verb m = case verb [] (fun [] -> m) (fun m' -> if m' == m then Some [] else None)
 
-let unescape_nl s =
-  if not (String.contains s '\\') then s
-  else begin
-    let b = Buffer.create (String.length s) in
-    let n = String.length s in
-    let rec go i =
-      if i < n then
-        if s.[i] = '\\' && i + 1 < n then begin
-          (match s.[i + 1] with
-          | 'n' -> Buffer.add_char b '\n'
-          | c -> Buffer.add_char b c);
-          go (i + 2)
-        end
-        else begin
-          Buffer.add_char b s.[i];
-          go (i + 1)
-        end
-    in
-    go 0;
-    Buffer.contents b
-  end
+let instance =
+  { to_text = (fun i -> Serial.to_string i); of_text = Serial.of_string;
+    to_json = Serial.to_jsonx; of_json = Serial.of_jsonx }
 
-let error_ctor = function
-  | Error.Parse _ -> "parse"
-  | Error.Invalid_path _ -> "invalid_path"
-  | Error.Cyclic _ -> "cyclic"
-  | Error.Bad_index _ -> "bad_index"
-  | Error.Invalid_op _ -> "invalid_op"
-  | Error.Precondition _ -> "precondition"
-  | Error.Unsupported_version _ -> "unsupported_version"
-  | Error.Io _ -> "io"
+(* The op list travels as the bare ["ops"] array of a [wl-ops] document. *)
+let script =
+  { to_text = Script.to_string; of_text = Script.of_string;
+    to_json = (fun ops -> Option.get (Jsonx.member "ops" (Script.to_jsonx ops)));
+    of_json = (fun j -> Script.of_jsonx (Jsonx.Obj [ ("ops", j) ])) }
 
-(* "err CODE CTOR ARGS..." — the wire code leads so code-only clients can
-   dispatch without knowing the constructor grammar. *)
-let error_to_line e =
-  let code = Error.to_code e in
-  match e with
-  | Error.Parse { line; msg } -> Printf.sprintf "err %d parse %d %s" code line (escape_nl msg)
-  | Error.Invalid_path msg -> Printf.sprintf "err %d invalid_path %s" code (escape_nl msg)
-  | Error.Cyclic msg -> Printf.sprintf "err %d cyclic %s" code (escape_nl msg)
-  | Error.Bad_index { what; index } ->
-    Printf.sprintf "err %d bad_index %d %s" code index (escape_nl what)
-  | Error.Invalid_op msg -> Printf.sprintf "err %d invalid_op %s" code (escape_nl msg)
-  | Error.Precondition msg -> Printf.sprintf "err %d precondition %s" code (escape_nl msg)
-  | Error.Unsupported_version v -> Printf.sprintf "err %d unsupported_version %d" code v
-  | Error.Io msg -> Printf.sprintf "err %d io %s" code (escape_nl msg)
+let doc =
+  { to_text = Fun.id; of_text = Result.ok; to_json = (fun d -> Jsonx.Str d);
+    of_json = (function Jsonx.Str d -> Ok d | _ -> Error (proto_error "doc is not a string")) }
 
-(* Tokens after "err": CODE CTOR then constructor args, message last. *)
-let error_of_tokens toks =
-  let rest_from parts n =
-    (* re-join everything from token [n] with single spaces *)
-    unescape_nl (String.concat " " (List.filteri (fun i _ -> i >= n) parts))
-  in
-  match toks with
-  | code :: ctor :: args -> (
-    match (int_of_string_opt code, ctor) with
-    | None, _ -> Error (proto_error "error frame: bad code")
-    | Some code, _ -> (
-      let msg_from n = rest_from args n in
-      match (ctor, args) with
-      | "parse", line :: _ -> (
-        match int_of_string_opt line with
-        | Some l -> Ok (Error.Parse { line = l; msg = msg_from 1 })
-        | None -> Error (proto_error "error frame: bad parse line"))
-      | "invalid_path", _ -> Ok (Error.Invalid_path (msg_from 0))
-      | "cyclic", _ -> Ok (Error.Cyclic (msg_from 0))
-      | "bad_index", index :: _ -> (
-        match int_of_string_opt index with
-        | Some i -> Ok (Error.Bad_index { what = msg_from 1; index = i })
-        | None -> Error (proto_error "error frame: bad index"))
-      | "invalid_op", _ -> Ok (Error.Invalid_op (msg_from 0))
-      | "precondition", _ -> Ok (Error.Precondition (msg_from 0))
-      | "unsupported_version", [ v ] -> (
-        match int_of_string_opt v with
-        | Some v -> Ok (Error.Unsupported_version v)
-        | None -> Error (proto_error "error frame: bad version"))
-      | "io", _ -> Ok (Error.Io (msg_from 0))
-      | _ -> (
-        (* unknown constructor from a future revision: degrade through the
-           shared code table rather than failing the whole reply *)
-        match Error.of_code code (msg_from 0) with
-        | Some e -> Ok e
-        | None -> Error (proto_error ("error frame: unknown constructor " ^ ctor)))))
-  | _ -> Error (proto_error "error frame: missing code")
+let report =
+  Rec
+    ( [ int "w"; int "pi"; bool "optimal"; ("method", Word (fun _ -> true)) ],
+      (fun [ n_wavelengths; pi; optimal; method_name ] ->
+        { n_wavelengths; pi; optimal; method_name }),
+      fun r -> [ r.n_wavelengths; r.pi; r.optimal; r.method_name ] )
 
-let error_to_json e =
-  let base =
-    match e with
-    | Error.Parse { line; msg } -> [ ("line", Jsonx.Int line); ("msg", Jsonx.Str msg) ]
-    | Error.Invalid_path msg
-    | Error.Cyclic msg
-    | Error.Invalid_op msg
-    | Error.Precondition msg
-    | Error.Io msg -> [ ("msg", Jsonx.Str msg) ]
-    | Error.Bad_index { what; index } ->
-      [ ("index", Jsonx.Int index); ("what", Jsonx.Str what) ]
-    | Error.Unsupported_version v -> [ ("version", Jsonx.Int v) ]
-  in
-  Jsonx.Obj
-    (("code", Jsonx.Int (Error.to_code e)) :: ("ctor", Jsonx.Str (error_ctor e)) :: base)
+let rollup =
+  Rec
+    ( [ int "count"; int "p50"; int "p90"; int "p99"; int "p999"; int "max"; int "ex_ns";
+        ("ex_trace", Hex) ],
+      (fun [ l_count; l_p50; l_p90; l_p99; l_p999; l_max; l_ex_ns; l_ex_trace ] ->
+        { l_count; l_p50; l_p90; l_p99; l_p999; l_max; l_ex_ns; l_ex_trace }),
+      fun r -> [ r.l_count; r.l_p50; r.l_p90; r.l_p99; r.l_p999; r.l_max; r.l_ex_ns; r.l_ex_trace ]
+    )
 
-let error_of_json j =
-  let str k = Option.bind (Jsonx.member k j) Jsonx.to_str in
-  let int k = Option.bind (Jsonx.member k j) Jsonx.to_int in
-  let msg () = Option.value (str "msg") ~default:"" in
-  match (int "code", str "ctor") with
-  | Some code, Some ctor -> (
-    match ctor with
-    | "parse" ->
-      Ok (Error.Parse { line = Option.value (int "line") ~default:0; msg = msg () })
-    | "invalid_path" -> Ok (Error.Invalid_path (msg ()))
-    | "cyclic" -> Ok (Error.Cyclic (msg ()))
-    | "bad_index" ->
-      Ok
-        (Error.Bad_index
-           {
-             what = Option.value (str "what") ~default:"";
-             index = Option.value (int "index") ~default:(-1);
-           })
-    | "invalid_op" -> Ok (Error.Invalid_op (msg ()))
-    | "precondition" -> Ok (Error.Precondition (msg ()))
-    | "unsupported_version" ->
-      Ok (Error.Unsupported_version (Option.value (int "version") ~default:(-1)))
-    | "io" -> Ok (Error.Io (msg ()))
-    | _ -> (
-      match Error.of_code code (msg ()) with
-      | Some e -> Ok e
-      | None -> Error (proto_error ("error frame: unknown constructor " ^ ctor))))
-  | _ -> Error (proto_error "error frame: missing code or ctor")
+let tenant_row =
+  Rec
+    ( [ tenant; int "shard"; int "paths"; int "pi"; int "ops"; int "add_p50"; int "add_p99";
+        bool "healthy" ],
+      (fun [ r_tenant; r_shard; r_paths; r_pi; r_ops; r_add_p50; r_add_p99; r_healthy ] ->
+        { r_tenant; r_shard; r_paths; r_pi; r_ops; r_add_p50; r_add_p99; r_healthy }),
+      fun r ->
+        [ r.r_tenant; r.r_shard; r.r_paths; r.r_pi; r.r_ops; r.r_add_p50; r.r_add_p99; r.r_healthy ]
+    )
 
-(* --- text encoding --------------------------------------------------------- *)
+let stats =
+  Rec
+    ( [ int "ops"; int "warm_hits"; int "fresh_colors"; int "repairs"; int "repair_flips";
+        int "shrink_recolors"; int "warm_removes"; int "fallbacks"; int "full_solves";
+        int "rejected" ],
+      (fun [ ops; warm_hits; fresh_colors; repairs; repair_flips; shrink_recolors; warm_removes;
+             fallbacks; full_solves; rejected ] : Engine.stats ->
+        { ops; warm_hits; fresh_colors; repairs; repair_flips; shrink_recolors; warm_removes;
+          fallbacks; full_solves; rejected }),
+      fun s ->
+        [ s.ops; s.warm_hits; s.fresh_colors; s.repairs; s.repair_flips; s.shrink_recolors;
+          s.warm_removes; s.fallbacks; s.full_solves; s.rejected ] )
 
-let hdr = Printf.sprintf "wlrpc %d" version
+let health =
+  Rec
+    ( [ bool "healthy"; int "add_p50"; int "add_p99"; int "remove_p50"; int "remove_p99";
+        ("warm_hit_recent", Float); ("warm_hit_lifetime", Float); int "fallback_streak" ],
+      (fun [ healthy; add_p50; add_p99; remove_p50; remove_p99; warm_hit_recent;
+             warm_hit_lifetime; fallback_streak ] ->
+        { healthy; add_p50; add_p99; remove_p50; remove_p99; warm_hit_recent; warm_hit_lifetime;
+          fallback_streak }),
+      fun h ->
+        [ h.healthy; h.add_p50; h.add_p99; h.remove_p50; h.remove_p99; h.warm_hit_recent;
+          h.warm_hit_lifetime; h.fallback_streak ] )
 
-(* The optional trace context rides as a [ctx=TRACE:SPAN] token directly
-   after the version, before the verb — absent for untraced peers, so
-   every pre-context frame remains byte-identical. *)
-let hdr_with ctx =
-  if Ctx.is_none ctx then hdr
-  else Printf.sprintf "wlrpc %d ctx=%s" version (Ctx.to_string ctx)
-
-let encode_request_text ?(ctx = Ctx.none) req =
-  let hdr = hdr_with ctx in
-  match req with
-  | Hello v -> Printf.sprintf "%s hello %d\n" hdr v
-  | Ping -> hdr ^ " ping\n"
-  | Shutdown -> hdr ^ " shutdown\n"
-  | Open { tenant; instance } ->
-    check_tenant tenant;
-    Printf.sprintf "%s open %s\n%s" hdr tenant (Serial.to_string instance)
-  | Add_path { tenant; vertices } ->
-    check_tenant tenant;
-    Printf.sprintf "%s add_path %s%s\n" hdr tenant
-      (String.concat "" (List.map (Printf.sprintf " %d") vertices))
-  | Remove_path { tenant; id } ->
-    check_tenant tenant;
-    Printf.sprintf "%s remove_path %s %d\n" hdr tenant id
-  | Add_arc { tenant; tail; head } ->
-    check_tenant tenant;
-    Printf.sprintf "%s add_arc %s %d %d\n" hdr tenant tail head
-  | Submit { tenant; ops } ->
-    check_tenant tenant;
-    Printf.sprintf "%s submit %s\n%s" hdr tenant (Script.to_string ops)
-  | Report { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s report %s\n" hdr tenant
-  | Pi { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s pi %s\n" hdr tenant
-  | Color_of { tenant; id } ->
-    check_tenant tenant;
-    Printf.sprintf "%s color_of %s %d\n" hdr tenant id
-  | Stats { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s stats %s\n" hdr tenant
-  | Health { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s health %s\n" hdr tenant
-  | Snapshot { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s snapshot %s\n" hdr tenant
-  | Evict { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s evict %s\n" hdr tenant
-  | Dstats -> hdr ^ " dstats\n"
-  | Dhealth -> hdr ^ " dhealth\n"
-  | Trace_dump { last } -> Printf.sprintf "%s tracedump %d\n" hdr last
-
-let report_tokens r =
-  Printf.sprintf "%d %d %b %s" r.n_wavelengths r.pi r.optimal r.method_name
-
-let stats_tokens (s : Engine.stats) =
-  Printf.sprintf "%d %d %d %d %d %d %d %d %d %d" s.Engine.ops s.Engine.warm_hits
-    s.Engine.fresh_colors s.Engine.repairs s.Engine.repair_flips s.Engine.shrink_recolors
-    s.Engine.warm_removes s.Engine.fallbacks s.Engine.full_solves s.Engine.rejected
-
-let rollup_tokens r =
-  Printf.sprintf "%d %d %d %d %d %d %d %x" r.l_count r.l_p50 r.l_p90 r.l_p99
-    r.l_p999 r.l_max r.l_ex_ns r.l_ex_trace
-
-let rollup_of_tokens name = function
-  | [ c; p50; p90; p99; p999; mx; ex; tr ] -> (
-    match
-      ( int_of_string_opt c, int_of_string_opt p50, int_of_string_opt p90,
-        int_of_string_opt p99, int_of_string_opt p999, int_of_string_opt mx,
-        int_of_string_opt ex, int_of_string_opt ("0x" ^ tr) )
-    with
-    | ( Some l_count, Some l_p50, Some l_p90, Some l_p99, Some l_p999,
-        Some l_max, Some l_ex_ns, Some l_ex_trace ) ->
-      Ok { l_count; l_p50; l_p90; l_p99; l_p999; l_max; l_ex_ns; l_ex_trace }
-    | _ -> Error (proto_error ("bad " ^ name ^ " rollup tokens")))
-  | _ -> Error (proto_error ("bad " ^ name ^ " rollup shape"))
-
-let outcome_line = function
-  | Ok (O_path id) -> Printf.sprintf "outcome path %d" id
-  | Ok (O_removed id) -> Printf.sprintf "outcome removed %d" id
-  | Ok (O_arc id) -> Printf.sprintf "outcome arc %d" id
-  | Error e -> "outcome " ^ error_to_line e
-
-let encode_reply_text ?(ctx = Ctx.none) reply =
-  let hdr = hdr_with ctx in
-  match reply with
-  | Error e -> Printf.sprintf "%s %s\n" hdr (error_to_line e)
-  | Ok r -> (
-    match r with
-    | R_hello v -> Printf.sprintf "%s ok hello %d\n" hdr v
-    | R_pong -> hdr ^ " ok pong\n"
-    | R_bye -> hdr ^ " ok bye\n"
-    | R_open rep -> Printf.sprintf "%s ok open %s\n" hdr (report_tokens rep)
-    | R_path id -> Printf.sprintf "%s ok path %d\n" hdr id
-    | R_removed id -> Printf.sprintf "%s ok removed %d\n" hdr id
-    | R_arc id -> Printf.sprintf "%s ok arc %d\n" hdr id
-    | R_report rep -> Printf.sprintf "%s ok report %s\n" hdr (report_tokens rep)
-    | R_pi pi -> Printf.sprintf "%s ok pi %d\n" hdr pi
-    | R_color c -> Printf.sprintf "%s ok color %d\n" hdr c
-    | R_stats s -> Printf.sprintf "%s ok stats %s\n" hdr (stats_tokens s)
-    | R_health h ->
-      Printf.sprintf "%s ok health %b %d %d %d %d %.17g %.17g %d\n" hdr h.healthy h.add_p50
-        h.add_p99 h.remove_p50 h.remove_p99 h.warm_hit_recent h.warm_hit_lifetime
-        h.fallback_streak
-    | R_outcomes { outcomes; after } ->
-      let b = Buffer.create 256 in
-      Buffer.add_string b
-        (Printf.sprintf "%s ok outcomes %d %s\n" hdr (Array.length outcomes)
-           (report_tokens after));
-      Array.iter
-        (fun o ->
-          Buffer.add_string b (outcome_line o);
-          Buffer.add_char b '\n')
-        outcomes;
-      Buffer.contents b
-    | R_snapshot inst -> Printf.sprintf "%s ok snapshot\n%s" hdr (Serial.to_string inst)
-    | R_evicted -> hdr ^ " ok evicted\n"
-    | R_dstats d ->
-      let b = Buffer.create 256 in
-      Buffer.add_string b
-        (Printf.sprintf "%s ok dstats %d %d %d %s %s\n" hdr d.d_shards
-           d.d_sessions
-           (List.length d.d_tenants)
-           (rollup_tokens d.d_add) (rollup_tokens d.d_remove));
-      List.iter
-        (fun r ->
-          Buffer.add_string b
-            (Printf.sprintf "tenant %s %d %d %d %d %d %d %b\n" r.r_tenant
-               r.r_shard r.r_paths r.r_pi r.r_ops r.r_add_p50 r.r_add_p99
-               r.r_healthy))
-        d.d_tenants;
-      Buffer.contents b
-    | R_dhealth h ->
-      Printf.sprintf "%s ok dhealth %b %d %d%s\n" hdr h.dh_healthy h.dh_sessions
-        (List.length h.dh_unhealthy)
-        (String.concat "" (List.map (fun t -> " " ^ t) h.dh_unhealthy))
-    | R_trace doc -> Printf.sprintf "%s ok trace\n%s" hdr doc)
-
-(* --- text decoding --------------------------------------------------------- *)
-
-let split_head payload =
-  match String.index_opt payload '\n' with
-  | None -> (payload, "")
-  | Some i ->
-    (String.sub payload 0 i, String.sub payload (i + 1) (String.length payload - i - 1))
-
-let tokens line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-
-let int_tok name s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (proto_error (Printf.sprintf "%s: expected an integer, got %S" name s))
-
-let with_tenant t k =
-  if tenant_ok t then k t else Error (proto_error (Printf.sprintf "invalid tenant id %S" t))
-
-(* The optional [ctx=] token sits between version and verb.  A malformed
-   id or a duplicate ctx token anywhere on the head line is a protocol
-   error — never an exception (the wlrpc_frame oracle mutates exactly
-   these shapes). *)
-let is_ctx_tok t = String.length t >= 4 && String.sub t 0 4 = "ctx="
-
-let extract_ctx rest =
-  match rest with
-  | c :: rest' when is_ctx_tok c -> (
-    if List.exists is_ctx_tok rest' then Error (proto_error "duplicate ctx field")
-    else
-      let v = String.sub c 4 (String.length c - 4) in
-      match Ctx.of_string v with
-      | Some ctx -> Ok (ctx, rest')
-      | None -> Error (proto_error (Printf.sprintf "malformed ctx %S" v)))
-  | _ ->
-    if List.exists is_ctx_tok rest then
-      Error (proto_error "ctx field not directly after version")
-    else Ok (Ctx.none, rest)
-
-let decode_request_text payload =
-  let head, body = split_head payload in
-  match tokens head with
-  | "wlrpc" :: v :: rest -> (
-    match int_of_string_opt v with
-    | None -> Error (proto_error "bad wlrpc header")
-    | Some v when v <> version -> Error (Error.Unsupported_version v)
-    | Some _ ->
-      Result.bind (extract_ctx rest) @@ fun (ctx, rest) ->
-      Result.map (fun req -> (req, ctx))
-      @@ (
-      match rest with
-      | [ "hello"; v ] -> Result.map (fun v -> Hello v) (int_tok "hello" v)
-      | [ "ping" ] -> Ok Ping
-      | [ "shutdown" ] -> Ok Shutdown
-      | [ "open"; t ] ->
-        with_tenant t (fun tenant ->
-            Result.map (fun instance -> Open { tenant; instance }) (Serial.of_string body))
-      | "add_path" :: t :: vs ->
-        with_tenant t (fun tenant ->
-            let rec ints acc = function
-              | [] -> Ok (List.rev acc)
-              | v :: rest -> Result.bind (int_tok "add_path vertex" v) (fun v -> ints (v :: acc) rest)
-            in
-            Result.map (fun vertices -> Add_path { tenant; vertices }) (ints [] vs))
-      | [ "remove_path"; t; id ] ->
-        with_tenant t (fun tenant ->
-            Result.map (fun id -> Remove_path { tenant; id }) (int_tok "remove_path id" id))
-      | [ "add_arc"; t; u; v ] ->
-        with_tenant t (fun tenant ->
-            Result.bind (int_tok "add_arc tail" u) (fun tail ->
-                Result.map (fun head -> Add_arc { tenant; tail; head }) (int_tok "add_arc head" v)))
-      | [ "submit"; t ] ->
-        with_tenant t (fun tenant ->
-            Result.map (fun ops -> Submit { tenant; ops }) (Script.of_string body))
-      | [ "report"; t ] -> with_tenant t (fun tenant -> Ok (Report { tenant }))
-      | [ "pi"; t ] -> with_tenant t (fun tenant -> Ok (Pi { tenant }))
-      | [ "color_of"; t; id ] ->
-        with_tenant t (fun tenant ->
-            Result.map (fun id -> Color_of { tenant; id }) (int_tok "color_of id" id))
-      | [ "stats"; t ] -> with_tenant t (fun tenant -> Ok (Stats { tenant }))
-      | [ "health"; t ] -> with_tenant t (fun tenant -> Ok (Health { tenant }))
-      | [ "snapshot"; t ] -> with_tenant t (fun tenant -> Ok (Snapshot { tenant }))
-      | [ "evict"; t ] -> with_tenant t (fun tenant -> Ok (Evict { tenant }))
-      | [ "dstats" ] -> Ok Dstats
-      | [ "dhealth" ] -> Ok Dhealth
-      | [ "tracedump"; last ] ->
-        Result.map (fun last -> Trace_dump { last }) (int_tok "tracedump last" last)
-      | verb :: _ -> Error (proto_error ("unknown request verb " ^ verb))
-      | [] -> Error (proto_error "empty request")))
-  | _ -> Error (proto_error "request does not start with a wlrpc header")
-
-let report_of_tokens = function
-  | [ w; pi; opt; m ] -> (
-    match (int_of_string_opt w, int_of_string_opt pi, bool_of_string_opt opt) with
-    | Some n_wavelengths, Some pi, Some optimal ->
-      Ok { n_wavelengths; pi; optimal; method_name = m }
-    | _ -> Error (proto_error "bad report tokens"))
-  | _ -> Error (proto_error "bad report shape")
-
-let decode_reply_text payload =
-  let head, body = split_head payload in
-  match tokens head with
-  | "wlrpc" :: v :: rest -> (
-    match int_of_string_opt v with
-    | None -> Error (proto_error "bad wlrpc header")
-    | Some v when v <> version -> Error (Error.Unsupported_version v)
-    | Some _ ->
-      Result.bind (extract_ctx rest) @@ fun (ctx, rest) ->
-      Result.map (fun rep -> (rep, ctx))
-      @@ (
-      match rest with
-      | "err" :: toks -> Result.map (fun e -> (Error e : reply)) (error_of_tokens toks)
-      | [ "ok"; "hello"; v ] -> Result.map (fun v -> Ok (R_hello v)) (int_tok "hello" v)
-      | [ "ok"; "pong" ] -> Ok (Ok R_pong)
-      | [ "ok"; "bye" ] -> Ok (Ok R_bye)
-      | "ok" :: "open" :: toks -> Result.map (fun r -> Ok (R_open r)) (report_of_tokens toks)
-      | [ "ok"; "path"; id ] -> Result.map (fun id -> Ok (R_path id)) (int_tok "path" id)
-      | [ "ok"; "removed"; id ] ->
-        Result.map (fun id -> Ok (R_removed id)) (int_tok "removed" id)
-      | [ "ok"; "arc"; id ] -> Result.map (fun id -> Ok (R_arc id)) (int_tok "arc" id)
-      | "ok" :: "report" :: toks ->
-        Result.map (fun r -> Ok (R_report r)) (report_of_tokens toks)
-      | [ "ok"; "pi"; pi ] -> Result.map (fun pi -> Ok (R_pi pi)) (int_tok "pi" pi)
-      | [ "ok"; "color"; c ] -> Result.map (fun c -> Ok (R_color c)) (int_tok "color" c)
-      | "ok" :: "stats" :: toks -> (
-        match List.map int_of_string_opt toks with
-        | [
-         Some ops; Some warm_hits; Some fresh_colors; Some repairs; Some repair_flips;
-         Some shrink_recolors; Some warm_removes; Some fallbacks; Some full_solves;
-         Some rejected;
-        ] ->
-          Ok
-            (Ok
-               (R_stats
-                  {
-                    Engine.ops; warm_hits; fresh_colors; repairs; repair_flips;
-                    shrink_recolors; warm_removes; fallbacks; full_solves; rejected;
-                  }))
-        | _ -> Error (proto_error "bad stats tokens"))
-      | [ "ok"; "health"; h; a50; a99; r50; r99; whr; whl; streak ] -> (
-        match
-          ( bool_of_string_opt h, int_of_string_opt a50, int_of_string_opt a99,
-            int_of_string_opt r50, int_of_string_opt r99, float_of_string_opt whr,
-            float_of_string_opt whl, int_of_string_opt streak )
-        with
-        | ( Some healthy, Some add_p50, Some add_p99, Some remove_p50, Some remove_p99,
-            Some warm_hit_recent, Some warm_hit_lifetime, Some fallback_streak ) ->
-          Ok
-            (Ok
-               (R_health
-                  {
-                    healthy; add_p50; add_p99; remove_p50; remove_p99; warm_hit_recent;
-                    warm_hit_lifetime; fallback_streak;
-                  }))
-        | _ -> Error (proto_error "bad health tokens"))
-      | "ok" :: "outcomes" :: n :: toks ->
-        Result.bind (int_tok "outcomes count" n) (fun n ->
-            Result.bind (report_of_tokens toks) (fun after ->
-                let lines =
-                  String.split_on_char '\n' body |> List.filter (fun l -> l <> "")
-                in
-                if List.length lines <> n then
-                  Error (proto_error "outcome count does not match body")
-                else
-                  let rec go acc = function
-                    | [] -> Ok (List.rev acc)
-                    | line :: rest -> (
-                      match tokens line with
-                      | [ "outcome"; "path"; id ] ->
-                        Result.bind (int_tok "outcome path" id) (fun id ->
-                            go (Ok (O_path id) :: acc) rest)
-                      | [ "outcome"; "removed"; id ] ->
-                        Result.bind (int_tok "outcome removed" id) (fun id ->
-                            go (Ok (O_removed id) :: acc) rest)
-                      | [ "outcome"; "arc"; id ] ->
-                        Result.bind (int_tok "outcome arc" id) (fun id ->
-                            go (Ok (O_arc id) :: acc) rest)
-                      | "outcome" :: "err" :: toks ->
-                        Result.bind (error_of_tokens toks) (fun e ->
-                            go (Error e :: acc) rest)
-                      | _ -> Error (proto_error "bad outcome line"))
-                  in
-                  Result.map
-                    (fun outcomes ->
-                      (Ok (R_outcomes { outcomes = Array.of_list outcomes; after }) : reply))
-                    (go [] lines)))
-      | [ "ok"; "snapshot" ] ->
-        Result.map (fun inst -> (Ok (R_snapshot inst) : reply)) (Serial.of_string body)
-      | [ "ok"; "evicted" ] -> Ok (Ok R_evicted)
-      | "ok" :: "dstats" :: shards :: sessions :: ntenants :: toks ->
-        Result.bind (int_tok "dstats shards" shards) (fun d_shards ->
-            Result.bind (int_tok "dstats sessions" sessions) (fun d_sessions ->
-                Result.bind (int_tok "dstats tenants" ntenants) (fun n ->
-                    if List.length toks <> 16 then
-                      Error (proto_error "bad dstats rollup shape")
-                    else
-                      let add_toks = List.filteri (fun i _ -> i < 8) toks in
-                      let rem_toks = List.filteri (fun i _ -> i >= 8) toks in
-                      Result.bind (rollup_of_tokens "add" add_toks) (fun d_add ->
-                          Result.bind (rollup_of_tokens "remove" rem_toks)
-                            (fun d_remove ->
-                              let lines =
-                                String.split_on_char '\n' body
-                                |> List.filter (fun l -> l <> "")
-                              in
-                              if List.length lines <> n then
-                                Error
-                                  (proto_error "tenant count does not match body")
-                              else
-                                let row line =
-                                  match tokens line with
-                                  | [ "tenant"; t; sh; paths; pi; ops; p50; p99; hb ]
-                                    -> (
-                                    match
-                                      ( tenant_ok t, int_of_string_opt sh,
-                                        int_of_string_opt paths,
-                                        int_of_string_opt pi,
-                                        int_of_string_opt ops,
-                                        int_of_string_opt p50,
-                                        int_of_string_opt p99,
-                                        bool_of_string_opt hb )
-                                    with
-                                    | ( true, Some r_shard, Some r_paths,
-                                        Some r_pi, Some r_ops, Some r_add_p50,
-                                        Some r_add_p99, Some r_healthy ) ->
-                                      Ok
-                                        {
-                                          r_tenant = t; r_shard; r_paths; r_pi;
-                                          r_ops; r_add_p50; r_add_p99; r_healthy;
-                                        }
-                                    | _ -> Error (proto_error "bad tenant row"))
-                                  | _ -> Error (proto_error "bad tenant line")
-                                in
-                                let rec go acc = function
-                                  | [] -> Ok (List.rev acc)
-                                  | l :: rest ->
-                                    Result.bind (row l) (fun r -> go (r :: acc) rest)
-                                in
-                                Result.map
-                                  (fun d_tenants ->
-                                    (Ok
-                                       (R_dstats
-                                          {
-                                            d_shards; d_sessions; d_add; d_remove;
-                                            d_tenants;
-                                          })
-                                      : reply))
-                                  (go [] lines))))))
-      | "ok" :: "dhealth" :: hb :: sessions :: n :: names ->
-        Result.bind (int_tok "dhealth sessions" sessions) (fun dh_sessions ->
-            Result.bind (int_tok "dhealth count" n) (fun n ->
-                match bool_of_string_opt hb with
-                | None -> Error (proto_error "bad dhealth flag")
-                | Some dh_healthy ->
-                  if List.length names <> n || not (List.for_all tenant_ok names)
-                  then Error (proto_error "bad dhealth tenant list")
-                  else
-                    Ok
-                      (Ok (R_dhealth { dh_healthy; dh_sessions; dh_unhealthy = names })
-                        : reply)))
-      | [ "ok"; "trace" ] -> Ok (Ok (R_trace body))
-      | _ -> Error (proto_error "unknown reply shape")))
-  | _ -> Error (proto_error "reply does not start with a wlrpc header")
-
-(* --- JSON mirror ----------------------------------------------------------- *)
-
-let instance_to_jsonx inst =
-  match Jsonx.parse (Serial.to_json inst) with
-  | Ok j -> j
-  | Error msg -> invalid_arg ("Proto: instance JSON did not re-parse: " ^ msg)
-
-let instance_of_jsonx j = Serial.of_json (Jsonx.to_string j)
-
-let ops_to_jsonx ops =
-  match Jsonx.parse (Script.to_json ops) with
-  | Ok j -> Option.value (Jsonx.member "ops" j) ~default:(Jsonx.Arr [])
-  | Error msg -> invalid_arg ("Proto: ops JSON did not re-parse: " ^ msg)
-
-let ops_of_jsonx j =
-  Script.of_json
-    (Jsonx.to_string
-       (Jsonx.Obj
-          [
-            ("format", Jsonx.Str "wl-ops");
-            ("version", Jsonx.Int Script.current_version);
-            ("ops", j);
-          ]))
-
-let ctx_json_field ctx fields =
-  if Ctx.is_none ctx then fields
-  else ("ctx", Jsonx.Str (Ctx.to_string ctx)) :: fields
-
-let req_json ?(ctx = Ctx.none) fields =
-  Jsonx.to_string
-    (Jsonx.Obj (("wlrpc", Jsonx.Int version) :: ctx_json_field ctx fields))
-
-let encode_request_json ?(ctx = Ctx.none) req =
-  let req_json fields = req_json ~ctx fields in
-  match req with
-  | Hello v -> req_json [ ("verb", Jsonx.Str "hello"); ("version", Jsonx.Int v) ]
-  | Ping -> req_json [ ("verb", Jsonx.Str "ping") ]
-  | Shutdown -> req_json [ ("verb", Jsonx.Str "shutdown") ]
-  | Open { tenant; instance } ->
-    check_tenant tenant;
-    req_json
-      [
-        ("verb", Jsonx.Str "open"); ("tenant", Jsonx.Str tenant);
-        ("instance", instance_to_jsonx instance);
-      ]
-  | Add_path { tenant; vertices } ->
-    check_tenant tenant;
-    req_json
-      [
-        ("verb", Jsonx.Str "add_path"); ("tenant", Jsonx.Str tenant);
-        ("vertices", Jsonx.Arr (List.map (fun v -> Jsonx.Int v) vertices));
-      ]
-  | Remove_path { tenant; id } ->
-    check_tenant tenant;
-    req_json
-      [ ("verb", Jsonx.Str "remove_path"); ("tenant", Jsonx.Str tenant); ("id", Jsonx.Int id) ]
-  | Add_arc { tenant; tail; head } ->
-    check_tenant tenant;
-    req_json
-      [
-        ("verb", Jsonx.Str "add_arc"); ("tenant", Jsonx.Str tenant);
-        ("from", Jsonx.Int tail); ("to", Jsonx.Int head);
-      ]
-  | Submit { tenant; ops } ->
-    check_tenant tenant;
-    req_json
-      [ ("verb", Jsonx.Str "submit"); ("tenant", Jsonx.Str tenant); ("ops", ops_to_jsonx ops) ]
-  | Report { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "report"); ("tenant", Jsonx.Str tenant) ]
-  | Pi { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "pi"); ("tenant", Jsonx.Str tenant) ]
-  | Color_of { tenant; id } ->
-    check_tenant tenant;
-    req_json
-      [ ("verb", Jsonx.Str "color_of"); ("tenant", Jsonx.Str tenant); ("id", Jsonx.Int id) ]
-  | Stats { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "stats"); ("tenant", Jsonx.Str tenant) ]
-  | Health { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "health"); ("tenant", Jsonx.Str tenant) ]
-  | Snapshot { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "snapshot"); ("tenant", Jsonx.Str tenant) ]
-  | Evict { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "evict"); ("tenant", Jsonx.Str tenant) ]
-  | Dstats -> req_json [ ("verb", Jsonx.Str "dstats") ]
-  | Dhealth -> req_json [ ("verb", Jsonx.Str "dhealth") ]
-  | Trace_dump { last } ->
-    req_json [ ("verb", Jsonx.Str "tracedump"); ("last", Jsonx.Int last) ]
-
-let report_json r =
-  [
-    ("w", Jsonx.Int r.n_wavelengths); ("pi", Jsonx.Int r.pi);
-    ("optimal", Jsonx.Bool r.optimal); ("method", Jsonx.Str r.method_name);
-  ]
-
-let rollup_json r =
-  Jsonx.Obj
+let outcome =
+  Choice
     [
-      ("count", Jsonx.Int r.l_count); ("p50", Jsonx.Int r.l_p50);
-      ("p90", Jsonx.Int r.l_p90); ("p99", Jsonx.Int r.l_p99);
-      ("p999", Jsonx.Int r.l_p999); ("max", Jsonx.Int r.l_max);
-      ("ex_ns", Jsonx.Int r.l_ex_ns); ("ex_trace", Jsonx.Int r.l_ex_trace);
+      one "path" (int "") (fun i -> Ok (O_path i)) (function Ok (O_path i) -> Some i | _ -> None);
+      one "removed" (int "") (fun i -> Ok (O_removed i))
+        (function Ok (O_removed i) -> Some i | _ -> None);
+      one "arc" (int "") (fun i -> Ok (O_arc i)) (function Ok (O_arc i) -> Some i | _ -> None);
+      one "err" ("", Err) (fun e -> Error e) (function Error e -> Some e | _ -> None);
     ]
 
-let rollup_of_json name j =
-  let int k = Option.bind (Jsonx.member k j) Jsonx.to_int in
-  match
-    ( int "count", int "p50", int "p90", int "p99", int "p999", int "max",
-      int "ex_ns", int "ex_trace" )
-  with
-  | ( Some l_count, Some l_p50, Some l_p90, Some l_p99, Some l_p999, Some l_max,
-      Some l_ex_ns, Some l_ex_trace ) ->
-    Ok { l_count; l_p50; l_p90; l_p99; l_p999; l_max; l_ex_ns; l_ex_trace }
-  | _ -> Error (proto_error ("bad " ^ name ^ " rollup fields"))
+let requests : req case list =
+  [
+    one "hello" (int "version") (fun v -> Hello v) (function Hello v -> Some v | _ -> None);
+    none "ping" Ping; none "shutdown" Shutdown;
+    case "open" [ tenant; ("instance", Body instance) ]
+      (fun [ tenant; instance ] -> Open { tenant; instance })
+      (function Open { tenant; instance } -> Some [ tenant; instance ] | _ -> None);
+    case "add_path" [ tenant; ("vertices", Many (Int, false)) ]
+      (fun [ tenant; vertices ] -> Add_path { tenant; vertices })
+      (function Add_path { tenant; vertices } -> Some [ tenant; vertices ] | _ -> None);
+    case "remove_path" [ tenant; int "id" ] (fun [ tenant; id ] -> Remove_path { tenant; id })
+      (function Remove_path { tenant; id } -> Some [ tenant; id ] | _ -> None);
+    case "add_arc" [ tenant; int "from"; int "to" ]
+      (fun [ tenant; tail; head ] -> Add_arc { tenant; tail; head })
+      (function Add_arc { tenant; tail; head } -> Some [ tenant; tail; head ] | _ -> None);
+    case "submit" [ tenant; ("ops", Body script) ] (fun [ tenant; ops ] -> Submit { tenant; ops })
+      (function Submit { tenant; ops } -> Some [ tenant; ops ] | _ -> None);
+    one "report" tenant (fun tenant -> Report { tenant })
+      (function Report r -> Some r.tenant | _ -> None);
+    one "pi" tenant (fun tenant -> Pi { tenant }) (function Pi r -> Some r.tenant | _ -> None);
+    case "color_of" [ tenant; int "id" ] (fun [ tenant; id ] -> Color_of { tenant; id })
+      (function Color_of { tenant; id } -> Some [ tenant; id ] | _ -> None);
+    one "stats" tenant (fun tenant -> Stats { tenant })
+      (function Stats r -> Some r.tenant | _ -> None);
+    one "health" tenant (fun tenant -> Health { tenant })
+      (function Health r -> Some r.tenant | _ -> None);
+    one "snapshot" tenant (fun tenant -> Snapshot { tenant })
+      (function Snapshot r -> Some r.tenant | _ -> None);
+    one "evict" tenant (fun tenant -> Evict { tenant })
+      (function Evict r -> Some r.tenant | _ -> None);
+    none "dstats" Dstats; none "dhealth" Dhealth;
+    one "tracedump" (int "last") (fun last -> Trace_dump { last })
+      (function Trace_dump r -> Some r.last | _ -> None);
+  ]
 
-let encode_reply_json ?(ctx = Ctx.none) (reply : reply) =
-  let obj fields =
-    Jsonx.to_string
-      (Jsonx.Obj (("wlrpc", Jsonx.Int version) :: ctx_json_field ctx fields))
+let replies : resp case list =
+  [
+    one "hello" (int "version") (fun v -> R_hello v) (function R_hello v -> Some v | _ -> None);
+    none "pong" R_pong; none "bye" R_bye;
+    one "open" (flat report) (fun r -> R_open r) (function R_open r -> Some r | _ -> None);
+    one "path" (int "id") (fun id -> R_path id) (function R_path id -> Some id | _ -> None);
+    one "removed" (int "id") (fun i -> R_removed i) (function R_removed i -> Some i | _ -> None);
+    one "arc" (int "id") (fun id -> R_arc id) (function R_arc id -> Some id | _ -> None);
+    one "report" (flat report) (fun r -> R_report r) (function R_report r -> Some r | _ -> None);
+    one "pi" (int "pi") (fun pi -> R_pi pi) (function R_pi pi -> Some pi | _ -> None);
+    one "color" (int "color") (fun c -> R_color c) (function R_color c -> Some c | _ -> None);
+    one "stats" (flat stats) (fun s -> R_stats s) (function R_stats s -> Some s | _ -> None);
+    one "health" (flat health) (fun h -> R_health h) (function R_health h -> Some h | _ -> None);
+    case "outcomes"
+      [ ("outcomes", Rows ("outcome", Rec ([ ("", outcome) ], (fun [ o ] -> o), fun o -> [ o ])));
+        flat report ]
+      (fun [ os; after ] -> R_outcomes { outcomes = Array.of_list os; after })
+      (function R_outcomes r -> Some [ Array.to_list r.outcomes; r.after ] | _ -> None);
+    one "snapshot" ("instance", Body instance) (fun i -> R_snapshot i)
+      (function R_snapshot i -> Some i | _ -> None);
+    none "evicted" R_evicted;
+    case "dstats"
+      [ int "shards"; int "sessions"; ("tenants", Rows ("tenant", tenant_row));
+        ("add", Record rollup); ("remove", Record rollup) ]
+      (fun [ d_shards; d_sessions; d_tenants; d_add; d_remove ] ->
+        R_dstats { d_shards; d_sessions; d_add; d_remove; d_tenants })
+      (function
+        | R_dstats d -> Some [ d.d_shards; d.d_sessions; d.d_tenants; d.d_add; d.d_remove ]
+        | _ -> None);
+    case "dhealth" [ bool "healthy"; int "sessions"; ("unhealthy", Many (Word tenant_ok, true)) ]
+      (fun [ dh_healthy; dh_sessions; dh_unhealthy ] ->
+        R_dhealth { dh_healthy; dh_sessions; dh_unhealthy })
+      (function R_dhealth h -> Some [ h.dh_healthy; h.dh_sessions; h.dh_unhealthy ] | _ -> None);
+    one "trace" ("doc", Body doc) (fun d -> R_trace d) (function R_trace d -> Some d | _ -> None);
+  ]
+
+(* A reply frame is "ok" and the reply, or "err" and the error. *)
+let reply : reply kind =
+  Choice
+    [
+      one "err" ("", Err) (fun e -> Error e) (function Error e -> Some e | Ok _ -> None);
+      one "ok" ("", Message replies) (fun r -> Ok r) (function Ok r -> Some r | Error _ -> None);
+    ]
+
+(* The list syntax means plain lists again from here on; the codecs reach
+   the schema's [fields] and [values] through their types. *)
+type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
+
+(* The entry a message falls under, with its field values. *)
+type found = Found : string * 'v fields * 'v values -> found
+
+let rec find : type m. m case list -> m -> found =
+ fun cases m ->
+  match cases with
+  | Case k :: rest -> (
+    match k.prj m with Some vs -> Found (k.verb, k.fields, vs) | None -> find rest m)
+  | [] -> invalid_arg "Proto: message outside the schema"
+
+let request_verbs = List.map (fun (Case k) -> k.verb) requests
+let reply_verbs = List.map (fun (Case k) -> k.verb) replies
+let verb_of_req r = match find requests r with Found (verb, _, _) -> verb
+
+(* --- structured errors ----------------------------------------------------- *)
+
+exception Bad of Error.t
+let bad msg = raise (Bad (proto_error msg))
+let ok_or_bad = function Ok v -> v | Error e -> raise (Bad e)
+let check_version v = if v <> version then raise (Bad (Error.Unsupported_version v))
+let check ok w = if not (ok w) then invalid_arg ("Proto: invalid tenant id " ^ w)
+
+(* An error on the wire: its {!Error.to_code} code, its constructor's name,
+   then its number and message fields, each with its JSON key. *)
+let parts = function
+  | Error.Parse { line; msg } -> ("parse", Some ("line", line), Some ("msg", msg))
+  | Error.Bad_index { what; index } -> ("bad_index", Some ("index", index), Some ("what", what))
+  | Error.Unsupported_version v -> ("unsupported_version", Some ("version", v), None)
+  | Error.Invalid_path m -> ("invalid_path", None, Some ("msg", m))
+  | Error.Cyclic m -> ("cyclic", None, Some ("msg", m))
+  | Error.Invalid_op m -> ("invalid_op", None, Some ("msg", m))
+  | Error.Precondition m -> ("precondition", None, Some ("msg", m))
+  | Error.Io m -> ("io", None, Some ("msg", m))
+
+(* The inverse of [parts].  An unknown constructor from a future revision
+   degrades through the shared code table rather than failing the frame. *)
+let error_of ~code ~ctor ~num msg =
+  match ctor with
+  | "parse" -> Error.Parse { line = num; msg }
+  | "bad_index" -> Error.Bad_index { what = msg; index = num }
+  | "unsupported_version" -> Error.Unsupported_version num
+  | "invalid_path" -> Error.Invalid_path msg | "cyclic" -> Error.Cyclic msg
+  | "invalid_op" -> Error.Invalid_op msg | "precondition" -> Error.Precondition msg
+  | "io" -> Error.Io msg
+  | _ -> ( match Error.of_code code msg with Some e -> e | None -> bad ("unknown error " ^ ctor))
+
+let error_to_json e =
+  let ctor, num, msg = parts e in
+  let opt f = function Some (k, x) -> [ (k, f x) ] | None -> [] in
+  let code = Jsonx.Int (Error.to_code e) in
+  Jsonx.Obj
+    ((("code", code) :: ("ctor", Jsonx.Str ctor) :: opt (fun n -> Jsonx.Int n) num)
+    @ opt (fun m -> Jsonx.Str m) msg)
+
+(* Absent fields take defaults, so a sparse error object still decodes. *)
+let error_of_json j =
+  let get k conv = Option.bind (Jsonx.member k j) conv in
+  let int k d = Option.value (get k Jsonx.to_int) ~default:d in
+  match (get "code" Jsonx.to_int, get "ctor" Jsonx.to_str) with
+  | Some code, Some ctor ->
+    let num, msg =
+      match ctor with
+      | "parse" -> (int "line" 0, "msg")
+      | "bad_index" -> (int "index" (-1), "what")
+      | _ -> (int "version" (-1), "msg")
+    in
+    error_of ~code ~ctor ~num (Option.value (get msg Jsonx.to_str) ~default:"")
+  | _ -> bad "error object without code or ctor"
+
+(* In text the message goes last, with newlines and backslashes escaped so
+   the line stays a line. *)
+let escape m =
+  String.split_on_char '\\' m |> String.concat "\\\\" |> String.split_on_char '\n'
+  |> String.concat "\\n"
+
+let unescape s =
+  let b = Buffer.create (String.length s) and n = String.length s in
+  let rec go i =
+    if i < n - 1 && s.[i] = '\\' then begin
+      Buffer.add_char b (if s.[i + 1] = 'n' then '\n' else s.[i + 1]);
+      go (i + 2)
+    end
+    else if i < n then (Buffer.add_char b s.[i]; go (i + 1))
   in
-  match reply with
-  | Error e -> obj [ ("err", error_to_json e) ]
-  | Ok r ->
-    let ok fields verb = obj [ ("ok", Jsonx.Obj (("verb", Jsonx.Str verb) :: fields)) ] in
-    (match r with
-    | R_hello v -> ok [ ("version", Jsonx.Int v) ] "hello"
-    | R_pong -> ok [] "pong"
-    | R_bye -> ok [] "bye"
-    | R_open rep -> ok (report_json rep) "open"
-    | R_path id -> ok [ ("id", Jsonx.Int id) ] "path"
-    | R_removed id -> ok [ ("id", Jsonx.Int id) ] "removed"
-    | R_arc id -> ok [ ("id", Jsonx.Int id) ] "arc"
-    | R_report rep -> ok (report_json rep) "report"
-    | R_pi pi -> ok [ ("pi", Jsonx.Int pi) ] "pi"
-    | R_color c -> ok [ ("color", Jsonx.Int c) ] "color"
-    | R_stats s ->
-      ok
-        [
-          ("ops", Jsonx.Int s.Engine.ops); ("warm_hits", Jsonx.Int s.Engine.warm_hits);
-          ("fresh_colors", Jsonx.Int s.Engine.fresh_colors);
-          ("repairs", Jsonx.Int s.Engine.repairs);
-          ("repair_flips", Jsonx.Int s.Engine.repair_flips);
-          ("shrink_recolors", Jsonx.Int s.Engine.shrink_recolors);
-          ("warm_removes", Jsonx.Int s.Engine.warm_removes);
-          ("fallbacks", Jsonx.Int s.Engine.fallbacks);
-          ("full_solves", Jsonx.Int s.Engine.full_solves);
-          ("rejected", Jsonx.Int s.Engine.rejected);
-        ]
-        "stats"
-    | R_health h ->
-      ok
-        [
-          ("healthy", Jsonx.Bool h.healthy); ("add_p50", Jsonx.Int h.add_p50);
-          ("add_p99", Jsonx.Int h.add_p99); ("remove_p50", Jsonx.Int h.remove_p50);
-          ("remove_p99", Jsonx.Int h.remove_p99);
-          ("warm_hit_recent", Jsonx.Float h.warm_hit_recent);
-          ("warm_hit_lifetime", Jsonx.Float h.warm_hit_lifetime);
-          ("fallback_streak", Jsonx.Int h.fallback_streak);
-        ]
-        "health"
-    | R_outcomes { outcomes; after } ->
-      ok
-        (report_json after
-        @ [
-            ( "outcomes",
-              Jsonx.Arr
-                (Array.to_list
-                   (Array.map
-                      (function
-                        | Ok (O_path id) -> Jsonx.Obj [ ("path", Jsonx.Int id) ]
-                        | Ok (O_removed id) -> Jsonx.Obj [ ("removed", Jsonx.Int id) ]
-                        | Ok (O_arc id) -> Jsonx.Obj [ ("arc", Jsonx.Int id) ]
-                        | Error e -> Jsonx.Obj [ ("err", error_to_json e) ])
-                      outcomes)) );
-          ])
-        "outcomes"
-    | R_snapshot inst -> ok [ ("instance", instance_to_jsonx inst) ] "snapshot"
-    | R_evicted -> ok [] "evicted"
-    | R_dstats d ->
-      ok
-        [
-          ("shards", Jsonx.Int d.d_shards); ("sessions", Jsonx.Int d.d_sessions);
-          ("add", rollup_json d.d_add); ("remove", rollup_json d.d_remove);
-          ( "tenants",
-            Jsonx.Arr
-              (List.map
-                 (fun r ->
-                   Jsonx.Obj
-                     [
-                       ("tenant", Jsonx.Str r.r_tenant);
-                       ("shard", Jsonx.Int r.r_shard);
-                       ("paths", Jsonx.Int r.r_paths); ("pi", Jsonx.Int r.r_pi);
-                       ("ops", Jsonx.Int r.r_ops);
-                       ("add_p50", Jsonx.Int r.r_add_p50);
-                       ("add_p99", Jsonx.Int r.r_add_p99);
-                       ("healthy", Jsonx.Bool r.r_healthy);
-                     ])
-                 d.d_tenants) );
-        ]
-        "dstats"
-    | R_dhealth h ->
-      ok
-        [
-          ("healthy", Jsonx.Bool h.dh_healthy);
-          ("sessions", Jsonx.Int h.dh_sessions);
-          ( "unhealthy",
-            Jsonx.Arr (List.map (fun t -> Jsonx.Str t) h.dh_unhealthy) );
-        ]
-        "dhealth"
-    | R_trace doc -> ok [ ("doc", Jsonx.Str doc) ] "trace")
+  go 0;
+  Buffer.contents b
 
-let json_version j =
-  match Option.bind (Jsonx.member "wlrpc" j) Jsonx.to_int with
-  | None -> Error (proto_error "missing wlrpc version")
-  | Some v when v <> version -> Error (Error.Unsupported_version v)
-  | Some _ -> Ok ()
+(* --- text: one cursor over the payload ------------------------------------- *)
 
-let json_ctx j =
-  match Jsonx.member "ctx" j with
-  | None -> Ok Ctx.none
-  | Some (Jsonx.Str s) -> (
-    match Ctx.of_string s with
-    | Some c -> Ok c
-    | None -> Error (proto_error (Printf.sprintf "malformed ctx %S" s)))
-  | Some _ -> Error (proto_error "malformed ctx field")
+(* Tokens are the runs of bytes other than ' ' in [pos, stop), the head
+   line; the body is everything after it. *)
+type cur = { s : string; mutable pos : int; stop : int }
 
-let decode_request_json payload =
-  match Jsonx.parse payload with
-  | Error msg -> Error (proto_error ("request JSON: " ^ msg))
-  | Ok j ->
-    Result.bind (json_version j) (fun () ->
-        Result.bind (json_ctx j) @@ fun ctx ->
-        Result.map (fun req -> (req, ctx))
-        @@
-        let str k = Option.bind (Jsonx.member k j) Jsonx.to_str in
-        let int k = Option.bind (Jsonx.member k j) Jsonx.to_int in
-        let tenant k =
-          match str "tenant" with
-          | Some t when tenant_ok t -> k t
-          | Some t -> Error (proto_error (Printf.sprintf "invalid tenant id %S" t))
-          | None -> Error (proto_error "missing tenant")
-        in
-        match str "verb" with
-        | None -> Error (proto_error "missing request verb")
-        | Some "hello" -> (
-          match int "version" with
-          | Some v -> Ok (Hello v)
-          | None -> Error (proto_error "hello: missing version"))
-        | Some "ping" -> Ok Ping
-        | Some "shutdown" -> Ok Shutdown
-        | Some "open" ->
-          tenant (fun tenant ->
-              match Jsonx.member "instance" j with
-              | None -> Error (proto_error "open: missing instance")
-              | Some inst ->
-                Result.map (fun instance -> Open { tenant; instance }) (instance_of_jsonx inst))
-        | Some "add_path" ->
-          tenant (fun tenant ->
-              match Option.bind (Jsonx.member "vertices" j) Jsonx.to_list with
-              | None -> Error (proto_error "add_path: missing vertices")
-              | Some vs -> (
-                let ints = List.map Jsonx.to_int vs in
-                if List.exists Option.is_none ints then
-                  Error (proto_error "add_path: non-integer vertex")
-                else Ok (Add_path { tenant; vertices = List.filter_map Fun.id ints })))
-        | Some "remove_path" ->
-          tenant (fun tenant ->
-              match int "id" with
-              | Some id -> Ok (Remove_path { tenant; id })
-              | None -> Error (proto_error "remove_path: missing id"))
-        | Some "add_arc" ->
-          tenant (fun tenant ->
-              match (int "from", int "to") with
-              | Some tail, Some head -> Ok (Add_arc { tenant; tail; head })
-              | _ -> Error (proto_error "add_arc: missing endpoints"))
-        | Some "submit" ->
-          tenant (fun tenant ->
-              match Jsonx.member "ops" j with
-              | None -> Error (proto_error "submit: missing ops")
-              | Some ops -> Result.map (fun ops -> Submit { tenant; ops }) (ops_of_jsonx ops))
-        | Some "report" -> tenant (fun tenant -> Ok (Report { tenant }))
-        | Some "pi" -> tenant (fun tenant -> Ok (Pi { tenant }))
-        | Some "color_of" ->
-          tenant (fun tenant ->
-              match int "id" with
-              | Some id -> Ok (Color_of { tenant; id })
-              | None -> Error (proto_error "color_of: missing id"))
-        | Some "stats" -> tenant (fun tenant -> Ok (Stats { tenant }))
-        | Some "health" -> tenant (fun tenant -> Ok (Health { tenant }))
-        | Some "snapshot" -> tenant (fun tenant -> Ok (Snapshot { tenant }))
-        | Some "evict" -> tenant (fun tenant -> Ok (Evict { tenant }))
-        | Some "dstats" -> Ok Dstats
-        | Some "dhealth" -> Ok Dhealth
-        | Some "tracedump" -> (
-          match int "last" with
-          | Some last -> Ok (Trace_dump { last })
-          | None -> Error (proto_error "tracedump: missing last"))
-        | Some verb -> Error (proto_error ("unknown request verb " ^ verb)))
+let cursor s = { s; pos = 0; stop = (try String.index s '\n' with Not_found -> String.length s) }
 
-let report_of_json j =
-  let int k = Option.bind (Jsonx.member k j) Jsonx.to_int in
-  let b = Option.bind (Jsonx.member "optimal" j) Jsonx.to_bool in
-  let m = Option.bind (Jsonx.member "method" j) Jsonx.to_str in
-  match (int "w", int "pi", b, m) with
-  | Some n_wavelengths, Some pi, Some optimal, Some method_name ->
-    Ok { n_wavelengths; pi; optimal; method_name }
-  | _ -> Error (proto_error "bad report fields")
+let body c =
+  let n = String.length c.s in
+  if c.stop < n then String.sub c.s (c.stop + 1) (n - c.stop - 1) else ""
 
-let to_float j =
-  match j with Jsonx.Float f -> Some f | Jsonx.Int i -> Some (float_of_int i) | _ -> None
+let more c =
+  while c.pos < c.stop && c.s.[c.pos] = ' ' do c.pos <- c.pos + 1 done;
+  c.pos < c.stop
 
-let decode_reply_json payload =
-  match Jsonx.parse payload with
-  | Error msg -> Error (proto_error ("reply JSON: " ^ msg))
-  | Ok j ->
-    Result.bind (json_version j) (fun () ->
-        Result.bind (json_ctx j) @@ fun ctx ->
-        Result.map (fun rep -> (rep, ctx))
-        @@
-        match (Jsonx.member "err" j, Jsonx.member "ok" j) with
-        | Some e, _ -> Result.map (fun e -> (Error e : reply)) (error_of_json e)
-        | None, Some ok -> (
-          let str k = Option.bind (Jsonx.member k ok) Jsonx.to_str in
-          let int k = Option.bind (Jsonx.member k ok) Jsonx.to_int in
-          match str "verb" with
-          | None -> Error (proto_error "missing reply verb")
-          | Some "hello" -> (
-            match int "version" with
-            | Some v -> Ok (Ok (R_hello v))
-            | None -> Error (proto_error "hello: missing version"))
-          | Some "pong" -> Ok (Ok R_pong)
-          | Some "bye" -> Ok (Ok R_bye)
-          | Some "open" -> Result.map (fun r -> Ok (R_open r)) (report_of_json ok)
-          | Some "path" -> (
-            match int "id" with
-            | Some id -> Ok (Ok (R_path id))
-            | None -> Error (proto_error "path: missing id"))
-          | Some "removed" -> (
-            match int "id" with
-            | Some id -> Ok (Ok (R_removed id))
-            | None -> Error (proto_error "removed: missing id"))
-          | Some "arc" -> (
-            match int "id" with
-            | Some id -> Ok (Ok (R_arc id))
-            | None -> Error (proto_error "arc: missing id"))
-          | Some "report" -> Result.map (fun r -> Ok (R_report r)) (report_of_json ok)
-          | Some "pi" -> (
-            match int "pi" with
-            | Some pi -> Ok (Ok (R_pi pi))
-            | None -> Error (proto_error "pi: missing value"))
-          | Some "color" -> (
-            match int "color" with
-            | Some c -> Ok (Ok (R_color c))
-            | None -> Error (proto_error "color: missing value"))
-          | Some "stats" -> (
-            let f k = int k in
-            match
-              ( f "ops", f "warm_hits", f "fresh_colors", f "repairs", f "repair_flips",
-                f "shrink_recolors", f "warm_removes", f "fallbacks", f "full_solves",
-                f "rejected" )
-            with
-            | ( Some ops, Some warm_hits, Some fresh_colors, Some repairs, Some repair_flips,
-                Some shrink_recolors, Some warm_removes, Some fallbacks, Some full_solves,
-                Some rejected ) ->
-              Ok
-                (Ok
-                   (R_stats
-                      {
-                        Engine.ops; warm_hits; fresh_colors; repairs; repair_flips;
-                        shrink_recolors; warm_removes; fallbacks; full_solves; rejected;
-                      }))
-            | _ -> Error (proto_error "stats: missing fields"))
-          | Some "health" -> (
-            let fl k = Option.bind (Jsonx.member k ok) to_float in
-            match
-              ( Option.bind (Jsonx.member "healthy" ok) Jsonx.to_bool, int "add_p50",
-                int "add_p99", int "remove_p50", int "remove_p99", fl "warm_hit_recent",
-                fl "warm_hit_lifetime", int "fallback_streak" )
-            with
-            | ( Some healthy, Some add_p50, Some add_p99, Some remove_p50, Some remove_p99,
-                Some warm_hit_recent, Some warm_hit_lifetime, Some fallback_streak ) ->
-              Ok
-                (Ok
-                   (R_health
-                      {
-                        healthy; add_p50; add_p99; remove_p50; remove_p99; warm_hit_recent;
-                        warm_hit_lifetime; fallback_streak;
-                      }))
-            | _ -> Error (proto_error "health: missing fields"))
-          | Some "outcomes" ->
-            Result.bind (report_of_json ok) (fun after ->
-                match Option.bind (Jsonx.member "outcomes" ok) Jsonx.to_list with
-                | None -> Error (proto_error "outcomes: missing list")
-                | Some os ->
-                  let rec go acc = function
-                    | [] -> Ok (List.rev acc)
-                    | o :: rest -> (
-                      match
-                        ( Option.bind (Jsonx.member "path" o) Jsonx.to_int,
-                          Option.bind (Jsonx.member "removed" o) Jsonx.to_int,
-                          Option.bind (Jsonx.member "arc" o) Jsonx.to_int,
-                          Jsonx.member "err" o )
-                      with
-                      | Some id, _, _, _ -> go (Ok (O_path id) :: acc) rest
-                      | _, Some id, _, _ -> go (Ok (O_removed id) :: acc) rest
-                      | _, _, Some id, _ -> go (Ok (O_arc id) :: acc) rest
-                      | _, _, _, Some e ->
-                        Result.bind (error_of_json e) (fun e -> go (Error e :: acc) rest)
-                      | _ -> Error (proto_error "outcomes: bad element"))
-                  in
-                  Result.map
-                    (fun outcomes ->
-                      (Ok (R_outcomes { outcomes = Array.of_list outcomes; after }) : reply))
-                    (go [] os))
-          | Some "snapshot" -> (
-            match Jsonx.member "instance" ok with
-            | None -> Error (proto_error "snapshot: missing instance")
-            | Some inst ->
-              Result.map (fun i -> (Ok (R_snapshot i) : reply)) (instance_of_jsonx inst))
-          | Some "evicted" -> Ok (Ok R_evicted)
-          | Some "dstats" ->
-            Result.bind
-              (match Jsonx.member "add" ok with
-              | Some a -> rollup_of_json "add" a
-              | None -> Error (proto_error "dstats: missing add rollup"))
-              (fun d_add ->
-                Result.bind
-                  (match Jsonx.member "remove" ok with
-                  | Some r -> rollup_of_json "remove" r
-                  | None -> Error (proto_error "dstats: missing remove rollup"))
-                  (fun d_remove ->
-                    match
-                      ( int "shards", int "sessions",
-                        Option.bind (Jsonx.member "tenants" ok) Jsonx.to_list )
-                    with
-                    | Some d_shards, Some d_sessions, Some rows ->
-                      let row r =
-                        let ri k = Option.bind (Jsonx.member k r) Jsonx.to_int in
-                        match
-                          ( Option.bind (Jsonx.member "tenant" r) Jsonx.to_str,
-                            ri "shard", ri "paths", ri "pi", ri "ops",
-                            ri "add_p50", ri "add_p99",
-                            Option.bind (Jsonx.member "healthy" r) Jsonx.to_bool )
-                        with
-                        | ( Some t, Some r_shard, Some r_paths, Some r_pi,
-                            Some r_ops, Some r_add_p50, Some r_add_p99,
-                            Some r_healthy )
-                          when tenant_ok t ->
-                          Ok
-                            {
-                              r_tenant = t; r_shard; r_paths; r_pi; r_ops;
-                              r_add_p50; r_add_p99; r_healthy;
-                            }
-                        | _ -> Error (proto_error "dstats: bad tenant row")
-                      in
-                      let rec go acc = function
-                        | [] -> Ok (List.rev acc)
-                        | r :: rest ->
-                          Result.bind (row r) (fun r -> go (r :: acc) rest)
-                      in
-                      Result.map
-                        (fun d_tenants ->
-                          (Ok
-                             (R_dstats
-                                {
-                                  d_shards; d_sessions; d_add; d_remove; d_tenants;
-                                })
-                            : reply))
-                        (go [] rows)
-                    | _ -> Error (proto_error "dstats: missing fields")))
-          | Some "dhealth" -> (
-            match
-              ( Option.bind (Jsonx.member "healthy" ok) Jsonx.to_bool,
-                int "sessions",
-                Option.bind (Jsonx.member "unhealthy" ok) Jsonx.to_list )
-            with
-            | Some dh_healthy, Some dh_sessions, Some names ->
-              let strs = List.map Jsonx.to_str names in
-              if List.exists Option.is_none strs then
-                Error (proto_error "dhealth: bad tenant list")
-              else
-                Ok
-                  (Ok
-                     (R_dhealth
-                        {
-                          dh_healthy; dh_sessions;
-                          dh_unhealthy = List.filter_map Fun.id strs;
-                        }))
-            | _ -> Error (proto_error "dhealth: missing fields"))
-          | Some "trace" -> (
-            match str "doc" with
-            | Some doc -> Ok (Ok (R_trace doc))
-            | None -> Error (proto_error "trace: missing doc"))
-          | Some verb -> Error (proto_error ("unknown reply verb " ^ verb)))
-        | None, None -> Error (proto_error "reply carries neither ok nor err"))
+(* Moves past the next token and returns its start; it ends at [c.pos]. *)
+let next c =
+  if not (more c) then bad "missing token";
+  let st = c.pos in
+  while c.pos < c.stop && c.s.[c.pos] <> ' ' do c.pos <- c.pos + 1 done;
+  st
 
-(* --- sniffing entry points ------------------------------------------------- *)
+let rec same s i w j = j = String.length w || (s.[i + j] = w.[j] && same s i w (j + 1))
+let is c st w = c.pos - st = String.length w && same c.s st w 0
+let tok c = let st = next c in String.sub c.s st (c.pos - st)
+
+let rec decimal s i stop acc =
+  if i >= stop then acc
+  else if s.[i] < '0' || s.[i] > '9' then -1
+  else decimal s (i + 1) stop ((acc * 10) + Char.code s.[i] - 48)
+
+(* As [int_of_string_opt] reads a token: plain decimals of up to 18 digits
+   (which cannot overflow) in place, every other form through it. *)
+let int c =
+  let st = next c in
+  let d = if c.pos - st <= 18 then decimal c.s st c.pos 0 else -1 in
+  if d >= 0 then d
+  else
+    match int_of_string_opt (String.sub c.s st (c.pos - st)) with
+    | Some v -> v
+    | None -> bad "expected an integer"
+
+(* Every token left on the line, each read by [read]. *)
+let all c read =
+  let rec go acc = if more c then go (read c :: acc) else List.rev acc in
+  go []
+
+(* After "err": CODE CTOR, then the constructor's arguments, message last
+   (the rest of the line, tokens joined by single spaces).  A missing
+   number or a stray argument falls back on the code table. *)
+let error_of_text c =
+  let code = int c in
+  let ctor = tok c in
+  let args = c.pos in
+  let msg () = unescape (String.concat " " (all c tok)) in
+  match ctor with
+  | ("parse" | "bad_index") when more c ->
+    let num = int c in
+    error_of ~code ~ctor ~num (msg ())
+  | "unsupported_version" when more c && (ignore (next c); not (more c)) ->
+    c.pos <- args;
+    error_of ~code ~ctor ~num:(int c) ""
+  | "parse" | "bad_index" | "unsupported_version" ->
+    c.pos <- args;
+    error_of ~code ~ctor:"" ~num:0 (msg ())
+  | _ -> error_of ~code ~ctor ~num:0 (msg ())
+
+let rec read : type a. cur -> a kind -> a =
+ fun c -> function
+  | Int -> int c
+  | Hex -> ( match int_of_string_opt ("0x" ^ tok c) with Some v -> v | None -> bad "expected hex")
+  | Bool ->
+    let st = next c in
+    if is c st "true" || is c st "false" then is c st "true" else bad "expected a bool"
+  | Float -> ( match float_of_string_opt (tok c) with Some f -> f | None -> bad "expected a float")
+  | Word ok -> let w = tok c in if ok w then w else bad ("invalid word " ^ w)
+  | Many (k, counted) ->
+    let n = if counted then int c else 0 in
+    let xs = all c (fun c -> read c k) in
+    if counted && List.length xs <> n then bad "count does not match the list" else xs
+  | Record (Rec (fs, inj, _)) -> inj (read_fields c fs)
+  | Rows (tag, r) ->
+    let n = int c in
+    let lines = List.filter (( <> ) "") (String.split_on_char '\n' (body c)) in
+    if List.length lines <> n then bad (tag ^ " count does not match the body");
+    List.map
+      (fun l ->
+        let c = cursor l in
+        if not (is c (next c) tag) then bad ("expected a " ^ tag ^ " line");
+        let row = read c (Record r) in
+        if more c then bad ("trailing token on a " ^ tag ^ " line") else row)
+      lines
+  | Message cases | Choice cases -> (
+    let st = next c in
+    match List.find_opt (fun (Case k) -> is c st k.verb) cases with
+    | Some (Case k) -> k.inj (read_fields c k.fields)
+    | None -> bad "unknown verb")
+  | Err -> error_of_text c
+  | Body b -> if more c then bad "trailing token" else ok_or_bad (b.of_text (body c))
+
+and read_fields : type v. cur -> v fields -> v values =
+ fun c -> function [] -> [] | (_, k) :: fs -> let v = read c k in v :: read_fields c fs
+
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let sp b s = Buffer.add_char b ' '; Buffer.add_string b s
+let nl b = Buffer.add_char b '\n'
+
+(* The head line's tokens, each after a space.  What goes after the line,
+   rows or a verbatim document, is pushed on [body] for later. *)
+let rec write : type a. Buffer.t -> (unit -> unit) list ref -> a kind -> a -> unit =
+ fun b body kind v ->
+  match kind with
+  | Int -> if v >= 0 then (Buffer.add_char b ' '; add_digits b v) else sp b (string_of_int v)
+  | Hex -> sp b (Printf.sprintf "%x" v)
+  | Bool -> sp b (string_of_bool v)
+  | Float -> sp b (Printf.sprintf "%.17g" v)
+  | Word ok -> check ok v; sp b v
+  | Many (k, counted) ->
+    if counted then write b body Int (List.length v);
+    List.iter (fun x -> write b body k x) v
+  | Record (Rec (fs, _, prj)) -> write_fields b body fs (prj v)
+  | Rows (tag, r) ->
+    write b body Int (List.length v);
+    let row x = Buffer.add_string b tag; write b body (Record r) x; nl b in
+    body := (fun () -> List.iter row v) :: !body
+  | Message cases | Choice cases -> (
+    match find cases v with Found (verb, fs, vs) -> sp b verb; write_fields b body fs vs)
+  | Err ->
+    let ctor, num, msg = parts v in
+    Printf.bprintf b " %d %s" (Error.to_code v) ctor;
+    Option.iter (fun (_, n) -> Printf.bprintf b " %d" n) num;
+    Option.iter (fun (_, m) -> sp b (escape m)) msg
+  | Body d -> body := (fun () -> Buffer.add_string b (d.to_text v)) :: !body
+
+and write_fields : type v. Buffer.t -> (unit -> unit) list ref -> v fields -> v values -> unit =
+ fun b body fs vs ->
+  match (fs, vs) with
+  | [], [] -> ()
+  | (_, k) :: fs, v :: vs -> write b body k v; write_fields b body fs vs
+
+(* --- JSON: named keys on the Jsonx tree ------------------------------------ *)
+
+let rec of_json : type a. a kind -> Jsonx.t -> a =
+ fun kind j ->
+  match (kind, j) with
+  | Int, Jsonx.Int i -> i
+  | Hex, Jsonx.Int i -> i
+  | Bool, Jsonx.Bool b -> b
+  | Float, Jsonx.Float f -> f
+  | Float, Jsonx.Int i -> float_of_int i
+  | Word ok, Jsonx.Str w when ok w -> w
+  | Many (k, _), Jsonx.Arr xs -> List.map (of_json k) xs
+  | Rows (_, r), Jsonx.Arr xs -> List.map (of_json (Record r)) xs
+  | Record (Rec (fs, inj, _)), _ -> inj (fields_of_json j fs)
+  | Message cases, _ -> (
+    let verb = Option.bind (Jsonx.member "verb" j) Jsonx.to_str in
+    match List.find_opt (fun (Case k) -> Some k.verb = verb) cases with
+    | Some (Case k) -> k.inj (fields_of_json j k.fields)
+    | None -> bad "missing or unknown verb")
+  | Choice cases, _ -> (
+    (* The first entry whose key is there, holding an int if the entry's
+       field is one. *)
+    let read (Case k) =
+      match (k.fields, Jsonx.member k.verb j) with
+      | [ (_, Int) ], Some (Jsonx.Int i) -> Some (k.inj [ i ])
+      | [ (_, Int) ], _ | _, None -> None
+      | [ (_, f) ], Some x -> Some (k.inj [ of_json f x ])
+      | _ -> None
+    in
+    match List.find_map read cases with Some v -> v | None -> bad "no known key")
+  | Err, _ -> error_of_json j
+  | Body b, _ -> ok_or_bad (b.of_json j)
+  | _ -> bad "malformed field"
+
+(* Each field under its key, or inline under the empty key. *)
+and fields_of_json : type v. Jsonx.t -> v fields -> v values =
+ fun j -> function
+  | [] -> []
+  | (key, k) :: fs ->
+    let v = match if key = "" then Some j else Jsonx.member key j with
+      | Some x -> of_json k x
+      | None -> bad ("missing " ^ key) in
+    v :: fields_of_json j fs
+
+let rec to_json : type a. a kind -> a -> Jsonx.t =
+ fun kind v ->
+  match kind with
+  | Int -> Jsonx.Int v
+  | Hex -> Jsonx.Int v
+  | Bool -> Jsonx.Bool v
+  | Float -> Jsonx.Float v
+  | Word ok -> check ok v; Jsonx.Str v
+  | Many (k, _) -> Jsonx.Arr (List.map (to_json k) v)
+  | Rows (_, r) -> Jsonx.Arr (List.map (to_json (Record r)) v)
+  | Err -> error_to_json v
+  | Body b -> b.to_json v
+  | Record (Rec (fs, _, prj)) -> Jsonx.Obj (fields_json fs (prj v))
+  | Message cases -> (
+    match find cases v with
+    | Found (verb, fs, vs) -> Jsonx.Obj (("verb", Jsonx.Str verb) :: fields_json fs vs))
+  | Choice cases -> (
+    match find cases v with
+    | Found (verb, [ (_, k) ], [ v ]) -> Jsonx.Obj [ (verb, to_json k v) ]
+    | Found _ -> invalid_arg "Proto: choice entry with several fields")
+
+(* In field order, except that rows go after every other key. *)
+and fields_json : type v. v fields -> v values -> (string * Jsonx.t) list =
+ fun fs vs ->
+  let rec pairs : type v. bool -> v fields -> v values -> (string * Jsonx.t) list =
+   fun rows fs vs ->
+    match (fs, vs) with
+    | [], [] -> []
+    | (key, k) :: fs, v :: vs ->
+      let is_rows = match k with Rows _ -> true | _ -> false in
+      (if is_rows <> rows then [] else if key = "" then keys k v else [ (key, to_json k v) ])
+      @ pairs rows fs vs
+  in
+  pairs false fs vs @ pairs true fs vs
+
+(* An object kind's keys, to inline in the enclosing object. *)
+and keys : type a. a kind -> a -> (string * Jsonx.t) list =
+ fun k v -> match to_json k v with Jsonx.Obj kvs -> kvs | _ -> invalid_arg "Proto: not an object"
+
+(* --- frames ---------------------------------------------------------------- *)
 
 let is_json payload = String.length payload > 0 && payload.[0] = '{'
 
-let encode_request ?(json = false) ?(ctx = Ctx.none) req =
-  if json then encode_request_json ~ctx req else encode_request_text ~ctx req
+(* [wlrpc 1], then the optional trace context — a [ctx=TRACE:SPAN] token
+   directly after the version, a ["ctx"] key in JSON — then the message.
+   [Ctx.none] writes nothing, so untraced frames stay byte-identical to
+   the pre-context protocol. *)
+let encode kind ~json ~ctx m =
+  if json then
+    let ctx = if Ctx.is_none ctx then [] else [ ("ctx", Jsonx.Str (Ctx.to_string ctx)) ] in
+    Jsonx.to_string (Jsonx.Obj ((("wlrpc", Jsonx.Int version) :: ctx) @ keys kind m))
+  else begin
+    let b = Buffer.create 64 and body = ref [] in
+    Buffer.add_string b "wlrpc 1";
+    if not (Ctx.is_none ctx) then sp b ("ctx=" ^ Ctx.to_string ctx);
+    write b body kind m;
+    nl b;
+    List.iter (fun f -> f ()) !body;
+    Buffer.contents b
+  end
 
-let decode_request_ctx payload =
-  if is_json payload then decode_request_json payload
-  else
-    match decode_request_text payload with
-    | exception _ -> Error (proto_error "request decode raised")
-    | r -> r
+let ctx_of = function Some c -> c | None -> bad "malformed ctx"
 
-let decode_request payload = Result.map fst (decode_request_ctx payload)
+let decode_text kind p =
+  let c = cursor p in
+  if not (is c (next c) "wlrpc") then bad "frame does not start with a wlrpc header";
+  check_version (int c);
+  let st = next c in
+  let ctx =
+    if c.pos - st >= 4 && same c.s st "ctx=" 0 then
+      ctx_of (Ctx.of_string (String.sub c.s (st + 4) (c.pos - st - 4)))
+    else (c.pos <- st; Ctx.none)
+  in
+  let m = read c kind in
+  if more c then bad "trailing token" else (m, ctx)
 
-let encode_reply ?(json = false) ?(ctx = Ctx.none) reply =
-  if json then encode_reply_json ~ctx reply else encode_reply_text ~ctx reply
+let decode_json kind p =
+  let j = match Jsonx.parse p with Ok j -> j | Error msg -> bad ("JSON: " ^ msg) in
+  (match Option.bind (Jsonx.member "wlrpc" j) Jsonx.to_int with
+  | Some v -> check_version v
+  | None -> bad "missing wlrpc version");
+  let ctx x = ctx_of (Option.bind (Jsonx.to_str x) Ctx.of_string) in
+  let ctx = Option.fold (Jsonx.member "ctx" j) ~none:Ctx.none ~some:ctx in
+  (of_json kind j, ctx)
 
-let decode_reply_ctx payload =
-  if is_json payload then decode_reply_json payload
-  else
-    match decode_reply_text payload with
-    | exception _ -> Error (proto_error "reply decode raised")
-    | r -> r
+(* Decoders are total: every failure, raised or returned, is an [Error]. *)
+let decode kind p =
+  match if is_json p then decode_json kind p else decode_text kind p with
+  | v -> Ok v
+  | exception Bad e -> Error e
+  | exception _ -> Error (proto_error "decode raised")
 
-let decode_reply payload = Result.map fst (decode_reply_ctx payload)
+let encode_request ?(json = false) ?(ctx = Ctx.none) req = encode (Message requests) ~json ~ctx req
+let encode_reply ?(json = false) ?(ctx = Ctx.none) r = encode reply ~json ~ctx r
+let decode_request_ctx p = decode (Message requests) p
+let decode_reply_ctx p = decode reply p
+let decode_request p = Result.map fst (decode_request_ctx p)
+let decode_reply p = Result.map fst (decode_reply_ctx p)

@@ -13,6 +13,14 @@
        ([socat | jq]); servers accept both at all times, replying in the
        encoding the request used.}}
 
+    One schema describes every message once: a verb and an ordered list of
+    typed fields, each with a JSON key.  Both codecs are derived from it —
+    the text form writes the fields as positional tokens on the head line
+    (counted rows and verbatim documents go in the body), the JSON mirror
+    under their keys.  Adding a verb means adding one schema entry (and a
+    sample to the [wlrpc_frame] fuzz oracle, which fails on a schema verb
+    it has no sample for).
+
     Error replies carry the structured {!Wl_core.Error.t}: the frame holds
     the constructor tag, the {!Wl_core.Error.to_code} wire code {e and}
     the constructor's own payload fields, so an error round-trips the wire
@@ -58,6 +66,10 @@ type req =
 
 val verb_of_req : req -> string
 (** The wire verb token — the label a client span carries. *)
+
+val request_verbs : string list
+val reply_verbs : string list
+(** Every verb of the schema, requests and replies, in schema order. *)
 
 type report = {
   n_wavelengths : int;
@@ -160,6 +172,9 @@ val outcome_of_engine : Engine.op_outcome -> outcome
     pre-context protocol and old peers interoperate unchanged.  On
     decode, an absent field yields [Ctx.none]; a malformed or duplicated
     field is a protocol error, never an exception. *)
+
+val is_json : string -> bool
+(** Whether a payload is in the JSON mirror: it starts with ['{']. *)
 
 val encode_request : ?json:bool -> ?ctx:Wl_obs.Ctx.t -> req -> string
 val decode_request : string -> (req, Error.t) result

@@ -45,7 +45,6 @@ let ctor = function
   | Error.Unsupported_version _ -> "Unsupported_version"
   | Error.Io _ -> "Io"
 
-let is_json f = String.length f > 0 && f.[0] = '{'
 let ctx_label c = if Ctx.is_none c then "none" else Ctx.to_string c
 
 let verdict decode encode frame =
@@ -53,11 +52,14 @@ let verdict decode encode frame =
   | Error e -> Printf.sprintf "error %s %d" (ctor e) (Error.to_code e)
   | Ok (m, c) ->
     Printf.sprintf "ok ctx=%s same=%b %S" (ctx_label c)
-      (encode ~json:(is_json frame) ~ctx:c m = frame)
+      (encode ~json:(Proto.is_json frame) ~ctx:c m = frame)
       (encode ~json:false ~ctx:c m)
 
-let request_verdict = verdict Proto.decode_request_ctx (fun ~json ~ctx r -> Proto.encode_request ~json ~ctx r)
-let reply_verdict = verdict Proto.decode_reply_ctx (fun ~json ~ctx r -> Proto.encode_reply ~json ~ctx r)
+let request_verdict =
+  verdict Proto.decode_request_ctx (fun ~json ~ctx r -> Proto.encode_request ~json ~ctx r)
+
+let reply_verdict =
+  verdict Proto.decode_reply_ctx (fun ~json ~ctx r -> Proto.encode_reply ~json ~ctx r)
 
 let show kind name frame v = Printf.printf "%s %s\n  frame %S\n  %s\n" kind name frame v
 
@@ -190,9 +192,11 @@ let replies inst : (string * Proto.reply) list =
            { Proto.d_shards = 1; d_sessions = 0; d_add = empty; d_remove = empty; d_tenants = [] })
     );
     ( "dhealth",
-      Ok (Proto.R_dhealth { Proto.dh_healthy = false; dh_sessions = 2; dh_unhealthy = [ "a"; "b.2_x-Y" ] })
-    );
-    ("dhealth-empty", Ok (Proto.R_dhealth { Proto.dh_healthy = true; dh_sessions = 0; dh_unhealthy = [] }));
+      Ok
+        (Proto.R_dhealth
+           { Proto.dh_healthy = false; dh_sessions = 2; dh_unhealthy = [ "a"; "b.2_x-Y" ] }) );
+    ( "dhealth-empty",
+      Ok (Proto.R_dhealth { Proto.dh_healthy = true; dh_sessions = 0; dh_unhealthy = [] }) );
     ("trace", Ok (Proto.R_trace "{\"traceEvents\": [\n  {\"ph\": \"X\"}\n]}\n"));
     ("trace-empty", Ok (Proto.R_trace ""));
   ]
@@ -389,6 +393,8 @@ let () =
     (fun (name, r) ->
       every_encoding "reply" name (fun ~json ~ctx -> Proto.encode_reply ~json ~ctx r) reply_verdict)
     (replies inst);
-  List.iter (fun (name, f) -> show "odd-request" name f (request_verdict f)) (odd_requests inst ops);
+  List.iter
+    (fun (name, f) -> show "odd-request" name f (request_verdict f))
+    (odd_requests inst ops);
   List.iter (fun (name, f) -> show "ctx-corruption" name f (request_verdict f)) ctx_corruptions;
   List.iter (fun (name, f) -> show "odd-reply" name f (reply_verdict f)) odd_replies

@@ -542,7 +542,7 @@ let test_ctx_generator_and_wire () =
   List.iter
     (fun s -> check ("rejects " ^ s) true (Ctx.of_string s = None))
     [ ""; ":"; "1:"; ":1"; "0:5"; "zz:1"; "1:2:3"; "-1:2"; "1:+2";
-      "12345678123456781:2"; "1 :2"; "0x1:2" ];
+      "12345678123456781:2"; "1 :2"; "0x1:2"; "ffffffffffffffff:1"; "1:8000000000000000" ];
   check "uppercase hex accepted" true (Ctx.of_string "AB:CD" <> None)
 
 let test_ctx_ambient () =

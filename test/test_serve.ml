@@ -453,10 +453,19 @@ let test_ctx_on_the_wire () =
         (tag ^ " Ctx.none encodes nothing")
         (Proto.encode_request ~json req)
         (Proto.encode_request ~json ~ctx:Ctx.none req);
-      match Proto.decode_request_ctx (Proto.encode_request ~json req) with
+      (match Proto.decode_request_ctx (Proto.encode_request ~json req) with
       | Ok (Proto.Ping, c) ->
         check (tag ^ " absent ctx decodes to none") true (Ctx.is_none c)
-      | _ -> Alcotest.failf "%s: untraced frame mishandled" tag)
+      | _ -> Alcotest.failf "%s: untraced frame mishandled" tag);
+      (* An id of sixteen hex digits beyond an OCaml int is a protocol
+         error in either encoding, not an exception. *)
+      let oversized =
+        if json then "{\"wlrpc\": 1, \"ctx\": \"ffffffffffffffff:1\", \"verb\": \"ping\"}"
+        else "wlrpc 1 ctx=ffffffffffffffff:1 ping\n"
+      in
+      match Proto.decode_request_ctx oversized with
+      | Error (Error.Parse _) -> ()
+      | _ -> Alcotest.failf "%s: oversized ctx id not a Parse error" tag)
     [ false; true ]
 
 (* --- daemon introspection ----------------------------------------------------- *)
