@@ -656,8 +656,8 @@ let wlrpc_frame =
     let eng = Engine.create inst in
     let b = Engine.submit eng s.Subject.ops in
     let rep = Proto.report_of_solver b.Engine.batch_report in
-    (* Rates that need all 17 significant digits: both encodings must
-       carry them exactly. *)
+    (* Rates with no short decimal form (2/3, and 0.1 in binary): both
+       encodings must carry them exactly. *)
     let health =
       {
         Proto.healthy = true;
