@@ -66,9 +66,10 @@ let () =
     (fun rng dag k -> Traffic.hotspot rng dag ~hubs:2 ~bias:0.6 k)
     rng ~batch_size:8 ~n_batches:10;
   let line =
-    Wl_dag.Dag.of_digraph_exn
-      (Wl_digraph.Digraph.of_arcs 30 ~src:(Array.init 29 Fun.id)
-         ~dst:(Array.init 29 succ))
+    Result.get_ok
+      (Wl_dag.Dag.of_digraph
+         (Wl_digraph.Digraph.of_arcs 30 ~src:(Array.init 29 Fun.id)
+            ~dst:(Array.init 29 succ)))
   in
   run_scenario "metro line, uniform lightpaths" line Traffic.uniform rng
     ~batch_size:15 ~n_batches:8;

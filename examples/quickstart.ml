@@ -28,7 +28,7 @@ let () =
   arc lyon torino;
   arc geneva milano;
   arc torino milano;
-  let dag = Dag.of_digraph_exn g in
+  let dag = match Dag.of_digraph g with Ok d -> d | Error msg -> failwith msg in
 
   (* The paper's hypotheses are easy to check programmatically. *)
   let cls = Classify.classify dag in

@@ -1,10 +1,10 @@
 (* The benchmark arms `wl bench` runs and gates on.
 
-   Workload shapes mirror bench/main.exe's perf engine (Theorem 1
-   coloring, dense DSATUR, conflict-graph construction, load, a warm
-   engine mutation) but at sizes chosen so a full gated run finishes in
-   seconds: the gate wants many repeated measurements per commit more
-   than it wants big instances.  Sizes are embedded in arm names, so the
+   Workloads cover the hot paths (Theorem 1 coloring, dense DSATUR,
+   conflict-graph construction, load, a warm engine mutation, a parallel
+   validation sweep, routing, parsing) at sizes chosen so a full gated
+   run finishes in seconds: the gate wants many repeated measurements
+   per commit more than it wants big instances.  Sizes are embedded in arm names, so the
    quick and full suites produce disjoint bench ids and the regression
    gate never compares a quick run against a full baseline. *)
 
@@ -207,6 +207,27 @@ let parse_arm (dag, requests) =
     extras = no_extras;
   }
 
+(* The Theorem 1 validation sweep over [seeds] seeds, chunk-parallel over
+   the default domain count, with the one-domain sweep as the reference
+   arm: the same seeds and results, so the ratio is the parallel
+   speedup.  A failing seed is a theorem regression, not a slow run, and
+   raises. *)
+let sweep_arm seeds =
+  let case = List.assoc "thm1" Wl_validate.Sweeps.all in
+  let sweep domains () =
+    match Wl_validate.Sweeps.run ~domains ~seeds case with
+    | [] -> ()
+    | (seed, reason) :: _ ->
+      failwith (Printf.sprintf "sweep/thm1: seed %d failed: %s" seed reason)
+  in
+  {
+    name = Printf.sprintf "sweep/thm1/seeds=%d" seeds;
+    params = [ ("seeds", seeds) ];
+    run = sweep (Wl_util.Parallel.default_domains ());
+    baseline = Some (sweep 1);
+    extras = no_extras;
+  }
+
 let suite ?(quick = false) () =
   if quick then
     [
@@ -216,6 +237,7 @@ let suite ?(quick = false) () =
       conflict_arm 60;
       load_arm 120;
       engine_arm 120;
+      sweep_arm 100;
     ]
     @
     let net = route_network 120 in
@@ -228,6 +250,7 @@ let suite ?(quick = false) () =
       conflict_arm 150;
       load_arm 400;
       engine_arm 400;
+      sweep_arm 400;
     ]
     @
     let net = route_network 1600 in

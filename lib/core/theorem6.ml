@@ -277,7 +277,7 @@ let split_and_glue ~subcolor inst =
     in
     let n_padded = Instance.n_paths padded in
     let g', s, t = split_graph g a b in
-    let dag' = Dag.of_digraph_exn g' in
+    let dag' = Result.get_ok (Dag.of_digraph g') in
     let through = ref [] and outside = ref [] in
     for i = n_padded - 1 downto 0 do
       if Dipath.mem_arc (Instance.path padded i) ab then through := i :: !through

@@ -111,9 +111,6 @@ let of_digraph g =
     in
     Error (Printf.sprintf "not a DAG: directed cycle %s" cycle)
 
-let of_digraph_exn g =
-  match of_digraph g with Ok d -> d | Error msg -> invalid_arg msg
-
 let graph d = d.g
 let n_vertices d = Digraph.n_vertices d.g
 let n_arcs d = Digraph.n_arcs d.g

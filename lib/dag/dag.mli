@@ -15,13 +15,6 @@ val of_digraph : Digraph.t -> (t, string) result
     description (including a directed-cycle witness) when the graph is
     not acyclic. *)
 
-val of_digraph_exn : Digraph.t -> t
-(** Raises [Invalid_argument] on a cyclic graph.
-    @deprecated Use {!of_digraph} — one result-typed form per operation is
-    the API rule since the service split (see the table in {!module:Wl});
-    this twin remains only for legacy callers and will go in the next
-    major version. *)
-
 val graph : t -> Digraph.t
 (** The underlying digraph. Callers must not mutate it (adding arcs would
     invalidate the cached topological order). *)

@@ -448,7 +448,7 @@ let stats s =
 let materialize_core c =
   let g = Digraph.copy c.g in
   (* The session never lets a directed cycle in, so this cannot fail. *)
-  let dag = Dag.of_digraph_exn g in
+  let dag = Result.get_ok (Dag.of_digraph g) in
   let live = ref [] in
   for i = c.n_slots - 1 downto 0 do
     if c.slot_live.(i) then live := c.slot_path.(i) :: !live
@@ -1091,7 +1091,7 @@ let add_arc s u v =
        classification can change — and an internal cycle appearing is exactly
        the Theorem-1 boundary, where the warm invariant stops being
        meaningful and the next query re-solves from scratch. *)
-    let dag = Dag.of_digraph_exn c.g in
+    let dag = Result.get_ok (Dag.of_digraph c.g) in
     c.classification <- Classify.classify dag;
     let had_cycle = c.has_cycle in
     c.has_cycle <- c.classification.Classify.n_internal_cycles > 0;

@@ -44,7 +44,7 @@ let fig1 k =
         let verts = link source.(i) [ source.(i) ] my_meetings in
         verts)
   in
-  let dag = Dag.of_digraph_exn g in
+  let dag = Result.get_ok (Dag.of_digraph g) in
   Instance.make dag (List.map (Dipath.make g) paths)
 
 let fig3 () =
@@ -55,7 +55,7 @@ let fig3 () =
       ~src:[| 0; 1; 2; 3; 1 |]
       ~dst:[| 1; 2; 3; 4; 3 |]
   in
-  let dag = Dag.of_digraph_exn g in
+  let dag = Result.get_ok (Dag.of_digraph g) in
   let p l = Dipath.make g l in
   Instance.make dag
     [ p [ 0; 1; 2 ]; p [ 1; 2; 3 ]; p [ 2; 3; 4 ]; p [ 1; 3; 4 ]; p [ 0; 1; 3 ] ]
@@ -74,7 +74,7 @@ let fig5_graph k =
     ignore (Digraph.add_arc g b.((i + 1) mod k) c.(i));
     ignore (Digraph.add_arc g c.(i) d.(i))
   done;
-  Dag.of_digraph_exn g
+  Result.get_ok (Dag.of_digraph g)
 
 let fig5 k =
   let dag = fig5_graph k in
@@ -96,7 +96,7 @@ let havet_graph () =
       (b1, c1); (b1, c2); (b2, c1); (b2, c2);
       (c1, d1); (c1, d1'); (c2, d2); (c2, d2');
     ];
-  Dag.of_digraph_exn g
+  Result.get_ok (Dag.of_digraph g)
 
 (* The eight dipaths of Figure 9, ordered so that consecutive ones (mod 8)
    conflict and antipodal ones conflict: the conflict graph is the Wagner

@@ -13,7 +13,7 @@ let gnp_dag rng n p =
       if Prng.bernoulli rng p then ignore (Digraph.add_arc g order.(i) order.(j))
     done
   done;
-  Dag.of_digraph_exn g
+  Result.get_ok (Dag.of_digraph g)
 
 let layered rng ~layers ~width ~p =
   if layers < 1 || width < 1 then invalid_arg "Generators.layered";
@@ -39,7 +39,7 @@ let layered rng ~layers ~width ~p =
         ignore (Digraph.add_arc g vertex.(l - 1).(Prng.int rng width) vertex.(l).(i))
     done
   done;
-  Dag.of_digraph_exn g
+  Result.get_ok (Dag.of_digraph g)
 
 let rebuild_without g dropped =
   let keep = List.filter (fun a -> not (List.mem a dropped)) (List.init (Digraph.n_arcs g) Fun.id) in
@@ -55,7 +55,8 @@ let without_internal_cycle rng dag =
     | Some walk ->
       let arcs = List.map fst walk in
       let victim = Prng.choose_list rng arcs in
-      repair (Dag.of_digraph_exn (rebuild_without (Dag.graph dag) [ victim ]))
+      let g = rebuild_without (Dag.graph dag) [ victim ] in
+      repair (Result.get_ok (Dag.of_digraph g))
   in
   repair dag
 
@@ -68,7 +69,8 @@ let make_upp rng dag =
     | Some v ->
       let path = if Prng.bool rng then v.Upp.path1 else v.Upp.path2 in
       let victim = Prng.choose_list rng (Dipath.arcs path) in
-      repair (Dag.of_digraph_exn (rebuild_without (Dag.graph dag) [ victim ]))
+      let g = rebuild_without (Dag.graph dag) [ victim ] in
+      repair (Result.get_ok (Dag.of_digraph g))
   in
   repair dag
 
@@ -81,7 +83,7 @@ let random_rooted_tree rng n =
   for i = 1 to n - 1 do
     ignore (Digraph.add_arc g (Prng.int rng i) i)
   done;
-  Dag.of_digraph_exn g
+  Result.get_ok (Dag.of_digraph g)
 
 (* One internal-cycle gadget added into [g]: k peaks/valleys, subdivided
    segments, pendant predecessors/successors making it internal.  Returns
@@ -141,7 +143,7 @@ let upp_one_internal_cycle rng ?k ?(segment_max = 3) ?(extra_vertices = 8) () =
   let g = Digraph.create () in
   ignore (add_cycle_gadget g rng ~k ~segment_max);
   grow_pendants g rng extra_vertices;
-  Dag.of_digraph_exn g
+  Result.get_ok (Dag.of_digraph g)
 
 let upp_internal_cycles rng ?(cycles = 2) ?k ?(segment_max = 3)
     ?(extra_vertices = 8) () =
@@ -164,7 +166,7 @@ let upp_internal_cycles rng ?(cycles = 2) ?k ?(segment_max = 3)
   in
   bridge hooks;
   grow_pendants g rng extra_vertices;
-  Dag.of_digraph_exn g
+  Result.get_ok (Dag.of_digraph g)
 
 let backbone rng ~pops ~levels =
   if pops < 1 || levels < 2 then invalid_arg "Generators.backbone";
@@ -192,4 +194,4 @@ let backbone rng ~pops ~levels =
       end
     done
   done;
-  Dag.of_digraph_exn g
+  Result.get_ok (Dag.of_digraph g)

@@ -94,9 +94,10 @@ val of_jsonl : string -> (entry list, string) result
 (** Parse a {!to_jsonl} dump back (replay). *)
 
 val to_chrome : ?last:int -> t -> string
-(** A complete Chrome trace document ("X" events, cat ["wl"], [tid] =
-    session id, outcome/arcs/palette/pi — plus trace/tenant when set —
-    in [args]) — accepted by [Trace.validate_chrome]. *)
+(** A complete Chrome trace document rendered by {!Trace.to_chrome} ("X"
+    events, cat ["wl"], [tid] = session id, seq/outcome/arcs/palette/pi
+    — plus trace/tenant when set — in [args]); the same bytes as
+    [merged_chrome ?last [t]]. *)
 
 val merged_chrome : ?last:int -> t list -> string
 (** One Chrome document over several rings (the TraceDump RPC payload):

@@ -3,16 +3,12 @@
    One JSONL line per recorded bench run (schema wavelength-bench-core/3);
    every point summarizes repeated measurements as median + MAD +
    coefficient of variation, so the regression detector downstream can
-   distinguish a real shift from machine noise.  The reader also accepts
-   the older /1-/2 single-measurement shape (BENCH_core.json style, both
-   as a standalone pretty-printed object and as JSONL lines), mapping
-   ns_per_op to a one-run sample, so pre-observatory points replay into
-   the same history. *)
+   distinguish a real shift from machine noise.  The reader accepts
+   exactly schema /3 and names any other schema in its error. *)
 
 module Jsonx = Wl_json.Jsonx
 
 let schema = "wavelength-bench-core/3"
-let schema_prefix = "wavelength-bench-core/"
 
 type sample = { median_ns : float; mad_ns : float; cv : float; runs : int }
 
@@ -154,12 +150,9 @@ let to_float = function
 
 (* Keys of a point object that are not free params/extras. *)
 let known_point_keys =
-  [
-    "name"; "median_ns"; "mad_ns"; "cv"; "runs"; "baseline_ns"; "counters";
-    "ns_per_op"; "baseline_ns_per_op"; "speedup";
-  ]
+  [ "name"; "median_ns"; "mad_ns"; "cv"; "runs"; "baseline_ns"; "counters" ]
 
-let point_of_json ~legacy j =
+let point_of_json j =
   match j with
   | Jsonx.Obj fields -> (
     let str k = Option.bind (Jsonx.member k j) Jsonx.to_str in
@@ -185,85 +178,52 @@ let point_of_json ~legacy j =
         | Some (Jsonx.Obj kvs) -> kvs
         | _ -> []
       in
-      let mk sample baseline_ns =
-        Ok { name; params; extras; sample; baseline_ns; counters }
-      in
-      if legacy then
-        match num "ns_per_op" with
-        | None -> Error (name ^ ": legacy point without ns_per_op")
-        | Some ns ->
-          mk
-            { median_ns = ns; mad_ns = 0.; cv = 0.; runs = 1 }
-            (num "baseline_ns_per_op")
-      else
-        match num "median_ns" with
-        | None -> Error (name ^ ": point without median_ns")
-        | Some med ->
-          mk
-            {
-              median_ns = med;
-              mad_ns = Option.value ~default:0. (num "mad_ns");
-              cv = Option.value ~default:0. (num "cv");
-              runs = Option.value ~default:1 (int "runs");
-            }
-            (num "baseline_ns")))
+      match num "median_ns" with
+      | None -> Error (name ^ ": point without median_ns")
+      | Some med ->
+        let sample =
+          {
+            median_ns = med;
+            mad_ns = Option.value ~default:0. (num "mad_ns");
+            cv = Option.value ~default:0. (num "cv");
+            runs = Option.value ~default:1 (int "runs");
+          }
+        in
+        Ok { name; params; extras; sample; baseline_ns = num "baseline_ns"; counters }))
   | _ -> Error "bench point is not an object"
 
 let known_entry_keys =
   [ "schema"; "rev"; "timestamp"; "domains"; "ocaml"; "note"; "benches" ]
 
 let of_json j =
+  let str k = Option.bind (Jsonx.member k j) Jsonx.to_str in
+  let rec points acc = function
+    | [] -> Ok (List.rev acc)
+    | b :: rest -> Result.bind (point_of_json b) (fun p -> points (p :: acc) rest)
+  in
   match j with
   | Jsonx.Obj fields -> (
-    let str k = Option.bind (Jsonx.member k j) Jsonx.to_str in
-    let schema_version =
-      match str "schema" with
-      | Some s
-        when String.length s > String.length schema_prefix
-             && String.sub s 0 (String.length schema_prefix) = schema_prefix ->
-        int_of_string_opt
-          (String.sub s
-             (String.length schema_prefix)
-             (String.length s - String.length schema_prefix))
-      | _ -> None
-    in
-    match schema_version with
-    | None -> Error "not a wavelength-bench-core entry"
-    | Some v -> (
-      let legacy = v < 3 in
-      let benches =
-        match Option.bind (Jsonx.member "benches" j) Jsonx.to_list with
-        | Some l -> Ok l
-        | None -> Error "entry without a benches array"
-      in
-      match benches with
-      | Error e -> Error e
-      | Ok benches -> (
-        let rec points acc = function
-          | [] -> Ok (List.rev acc)
-          | b :: rest -> (
-            match point_of_json ~legacy b with
-            | Ok p -> points (p :: acc) rest
-            | Error e -> Error e)
-        in
-        match points [] benches with
-        | Error e -> Error e
-        | Ok points ->
-          let extra =
-            List.filter (fun (k, _) -> not (List.mem k known_entry_keys)) fields
-          in
-          Ok
-            {
-              rev = Option.value ~default:"unknown" (str "rev");
-              timestamp = Option.value ~default:"" (str "timestamp");
-              domains =
-                Option.value ~default:0
-                  (Option.bind (Jsonx.member "domains" j) Jsonx.to_int);
-              ocaml_version = Option.value ~default:"" (str "ocaml");
-              note = Option.value ~default:"" (str "note");
-              points;
-              extra;
-            })))
+    match (str "schema", Option.bind (Jsonx.member "benches" j) Jsonx.to_list) with
+    | None, _ -> Error "not a wavelength-bench-core entry"
+    | Some s, _ when s <> schema ->
+      Error (Printf.sprintf "unsupported schema %s (expected %s)" s schema)
+    | Some _, None -> Error "entry without a benches array"
+    | Some _, Some benches ->
+      Result.map
+        (fun points ->
+          {
+            rev = Option.value ~default:"unknown" (str "rev");
+            timestamp = Option.value ~default:"" (str "timestamp");
+            domains =
+              Option.value ~default:0
+                (Option.bind (Jsonx.member "domains" j) Jsonx.to_int);
+            ocaml_version = Option.value ~default:"" (str "ocaml");
+            note = Option.value ~default:"" (str "note");
+            points;
+            extra =
+              List.filter (fun (k, _) -> not (List.mem k known_entry_keys)) fields;
+          })
+        (points [] benches))
   | _ -> Error "entry is not an object"
 
 (* --- files --------------------------------------------------------------- *)
@@ -274,39 +234,21 @@ let append path e =
   output_char oc '\n';
   close_out oc
 
-let write_file path e =
-  let oc = open_out path in
-  output_string oc (Jsonx.to_string ~pretty:true (to_json e));
-  output_char oc '\n';
-  close_out oc
-
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | contents -> (
-    let contents = String.trim contents in
-    if contents = "" then Ok []
-    else
-      (* A whole-file parse succeeds for a standalone (possibly
-         pretty-printed) object — the BENCH_core.json shape; a JSONL
-         trajectory fails it with trailing garbage and is parsed line by
-         line instead. *)
-      match Jsonx.parse contents with
-      | Ok j -> Result.map (fun e -> [ e ]) (of_json j)
-      | Error _ ->
-        let lines =
-          List.filter
-            (fun l -> String.trim l <> "")
-            (String.split_on_char '\n' contents)
-        in
-        let rec go i acc = function
-          | [] -> Ok (List.rev acc)
-          | line :: rest -> (
-            match Result.bind (Jsonx.parse line) of_json with
-            | Ok e -> go (i + 1) (e :: acc) rest
-            | Error msg -> Error (Printf.sprintf "line %d: %s" i msg))
-        in
-        go 1 [] lines)
+  | contents ->
+    let rec go i acc = function
+      | [] -> Ok (List.rev acc)
+      | line :: rest -> (
+        match Result.bind (Jsonx.parse line) of_json with
+        | Ok e -> go (i + 1) (e :: acc) rest
+        | Error msg -> Error (Printf.sprintf "line %d: %s" i msg))
+    in
+    go 1 []
+      (List.filter
+         (fun l -> String.trim l <> "")
+         (String.split_on_char '\n' contents))
 
 (* --- regression gate ------------------------------------------------------
 

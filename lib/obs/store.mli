@@ -7,12 +7,10 @@
     MAD (median absolute deviation) + coefficient of variation, so the
     gate can widen its tolerance exactly when the machine is noisy.
 
-    The on-disk format is schema [wavelength-bench-core/3]: one JSON
-    object per line ([BENCH_trajectory.jsonl]), or a standalone
-    pretty-printed object ([BENCH_core.json]).  {!load} reads both, and
-    also accepts the pre-observatory [/1]-[/2] shape (single
-    [ns_per_op] measurement, no spread), mapping it to a one-run
-    sample so old baselines replay into the same history. *)
+    The on-disk format is schema [wavelength-bench-core/3], one JSON
+    object per line ([BENCH_trajectory.jsonl]).  {!load} and {!of_json}
+    read that schema only; an entry of any other schema is an [Error]
+    that names it. *)
 
 type sample = {
   median_ns : float;
@@ -40,8 +38,7 @@ type entry = {
   note : string;  (** [""] when absent *)
   points : point list;
   extra : (string * Wl_json.Jsonx.t) list;
-      (** unrecognized top-level fields, preserved (e.g. the sweep
-          trajectory embedding) *)
+      (** unrecognized top-level fields, preserved through a round trip *)
 }
 
 val schema : string
@@ -78,20 +75,17 @@ val json_of_instrument : Metrics.instrument -> Wl_json.Jsonx.t
 
 val to_json : entry -> Wl_json.Jsonx.t
 val of_json : Wl_json.Jsonx.t -> (entry, string) result
+(** Exactly schema [wavelength-bench-core/3]; any other schema is an
+    [Error] naming it. *)
 
 val append : string -> entry -> unit
 (** Append one JSONL line to the trajectory at this path, creating the
     file if needed. *)
 
-val write_file : string -> entry -> unit
-(** Write a standalone pretty-printed entry (the [BENCH_core.json]
-    shape), truncating. *)
-
 val load : string -> (entry list, string) result
-(** Read a trajectory.  Accepts a JSONL file (one entry per line, in
-    file order) or a standalone object; schema [/1]-[/2] entries are
-    upgraded on the fly.  A missing file is an [Error]; an empty file
-    is [Ok []]. *)
+(** Read a JSONL trajectory: one entry per non-blank line, in file order.
+    A missing file or a bad line is an [Error] (the latter located by
+    line); an empty file is [Ok []]. *)
 
 (** {1 Regression gate} *)
 

@@ -642,8 +642,15 @@ let decode_json kind p =
   (match Option.bind (Jsonx.member "wlrpc" j) Jsonx.to_int with
   | Some v -> check_version v
   | None -> bad "missing wlrpc version");
-  let ctx x = ctx_of (Option.bind (Jsonx.to_str x) Ctx.of_string) in
-  let ctx = Option.fold (Jsonx.member "ctx" j) ~none:Ctx.none ~some:ctx in
+  let ctx =
+    match j with
+    | Jsonx.Obj kvs -> (
+      match List.filter (fun (k, _) -> k = "ctx") kvs with
+      | [] -> Ctx.none
+      | [ (_, x) ] -> ctx_of (Option.bind (Jsonx.to_str x) Ctx.of_string)
+      | _ -> bad "duplicated ctx")
+    | _ -> Ctx.none
+  in
   (of_json kind j, ctx)
 
 (* Decoders are total: every failure, raised or returned, is an [Error]. *)

@@ -17,13 +17,7 @@
     serialization and session layers has exactly one blessed form, and it
     returns [('a, Wl_core.Error.t) result] — the same structured error
     that crosses the [wlrpc/1] wire and maps onto the CLI's sysexits codes
-    ({!Error.to_code}).  The historical [_exn] twins are deprecated:
-
-    {t
-    | Deprecated                  | Use instead              | Notes |
-    |------------------------------|--------------------------|-------|
-    | [Dag.of_digraph_exn]         | {!Dag.of_digraph}        | cycle witness in the [Error] payload |
-    }
+    ({!Error.to_code}).  The historical [_exn] twins are gone.
 
     Two [_exn] twins are kept on purpose — {!Engine.add_dipath_exn} and
     {!Engine.remove_path_exn} — because their warm steady state performs

@@ -22,6 +22,16 @@ let digraph_of_pairs n arcs =
     ~src:(Array.of_list (List.map fst arcs))
     ~dst:(Array.of_list (List.map snd arcs))
 
+(* A DAG from a digraph the test built acyclic; a cycle fails the test. *)
+let dag_of_digraph g =
+  match Dag.of_digraph g with Ok d -> d | Error msg -> Alcotest.fail msg
+
+(* Whether [sub] occurs in [s]. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* Raw digraph variant (guaranteed acyclic) for the graph-level suites. *)
 let gnp_dag seed n p = Dag.graph (Wl_netgen.Generators.gnp_dag (Prng.create seed) n p)
 

@@ -38,7 +38,7 @@ let test_first_fit_can_be_suboptimal () =
      C=[1,3).  Order A,B,C: A=0, B=0, C=1 -> 2 colors = pi.  Order C
      first does not help to break it; use a 5-interval pattern instead. *)
   let g = digraph_of_pairs 7 (List.init 6 (fun i -> (i, i + 1))) in
-  let dag = Wl_dag.Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let p lo hi = Wl_digraph.Dipath.make g (List.init (hi - lo + 1) (fun i -> lo + i)) in
   (* Intervals (arc ranges): a=[0,1], b=[2,3], c=[4,5], d=[1,2], e=[3,4].
      pi = 2.  Order a,b,c then d,e: a=0,b=0,c=0; d conflicts a,b -> 1;

@@ -35,7 +35,7 @@ let equivalent s =
 
 let instance_of_arcs n arcs paths =
   let g = digraph_of_pairs n arcs in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   Instance.make dag (List.map (fun vs -> Dipath.make g vs) paths)
 
 (* Warm the session: the first query after [create] runs the one cold

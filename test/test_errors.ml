@@ -43,7 +43,7 @@ let test_dipath_contracts () =
 
 let test_instance_contracts () =
   let g = line 4 in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let inst = Instance.make dag [ Dipath.make g [ 0; 1 ] ] in
   check "path index" true (raises_invalid (fun () -> Instance.path inst 1));
   check "paths_through bad arc" true
@@ -54,7 +54,7 @@ let test_instance_contracts () =
 
 let test_grooming_contracts () =
   let g = line 4 in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let inst = Instance.make dag [ Dipath.make g [ 0; 1 ] ] in
   check "greedy negative w" true (raises_invalid (fun () -> Grooming.greedy inst ~w:(-1)));
   check "exact negative w" true (raises_invalid (fun () -> Grooming.exact inst ~w:(-1)));
@@ -93,7 +93,7 @@ let test_exact_contracts () =
 
 let test_baselines_contracts () =
   let g = line 4 in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let inst = Instance.make dag [ Dipath.make g [ 0; 1 ] ] in
   check "best_of tries 0" true
     (raises_invalid (fun () ->

@@ -80,7 +80,14 @@ let test_jsonl_rejects_garbage () =
 
 let test_chrome_dump_validates () =
   let f = Flight.create ~capacity:64 ~tid:3 () in
+  Alcotest.(check string)
+    "empty ring: one ring = merged over [it]"
+    (Flight.merged_chrome [ f ]) (Flight.to_chrome f);
   record_n f 20;
+  Flight.set_label f "acme";
+  Alcotest.(check string)
+    "one ring = merged over [it]"
+    (Flight.merged_chrome ~last:7 [ f ]) (Flight.to_chrome ~last:7 f);
   match Trace.validate_chrome (Flight.to_chrome f) with
   | Ok n -> check_int "one event per retained op" 20 n
   | Error e -> Alcotest.fail ("chrome dump rejected: " ^ e)

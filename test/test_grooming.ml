@@ -21,7 +21,7 @@ let brute inst ~w =
 
 let line_instance seed k n =
   let g = digraph_of_pairs n (List.init (n - 1) (fun i -> (i, i + 1))) in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let rng = Prng.create seed in
   let paths =
     List.init k (fun _ ->
@@ -68,9 +68,9 @@ let line_beats_or_matches_greedy =
       | Some s -> s.Grooming.size >= (Grooming.greedy inst ~w).Grooming.size)
 
 let test_is_line () =
-  let line = Dag.of_digraph_exn (digraph_of_pairs 4 [ (0, 1); (1, 2); (2, 3) ]) in
+  let line = dag_of_digraph (digraph_of_pairs 4 [ (0, 1); (1, 2); (2, 3) ]) in
   check "line" true (Grooming.is_line line);
-  let tree = Dag.of_digraph_exn (digraph_of_pairs 4 [ (0, 1); (0, 2); (2, 3) ]) in
+  let tree = dag_of_digraph (digraph_of_pairs 4 [ (0, 1); (0, 2); (2, 3) ]) in
   check "tree not line" false (Grooming.is_line tree);
   check "on_line rejects non-lines" true
     (Grooming.on_line (Instance.make tree []) ~w:1 = None)

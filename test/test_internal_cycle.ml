@@ -8,7 +8,7 @@ module Prng = Wl_util.Prng
 module Figures = Wl_netgen.Figures
 module Generators = Wl_netgen.Generators
 
-let dag_of arcs n = Dag.of_digraph_exn (digraph_of_pairs n arcs)
+let dag_of arcs n = dag_of_digraph (digraph_of_pairs n arcs)
 
 let test_fig3_has_one () =
   let d = Wl_core.Instance.dag (Figures.fig3 ()) in
@@ -57,12 +57,12 @@ let test_internal_vertices () =
 
 let find_matches_count =
   qtest "find = Some iff count_independent > 0" seed_gen (fun seed ->
-      let d = Dag.of_digraph_exn (gnp_dag seed 12 0.25) in
+      let d = dag_of_digraph (gnp_dag seed 12 0.25) in
       (IC.find d <> None) = (IC.count_independent d > 0))
 
 let canonical_well_formed =
   qtest "canonical witness verifies" seed_gen (fun seed ->
-      let d = Dag.of_digraph_exn (gnp_dag seed 12 0.3) in
+      let d = dag_of_digraph (gnp_dag seed 12 0.3) in
       match IC.find_canonical d with
       | None -> true
       | Some can -> IC.verify_canonical d can)

@@ -10,7 +10,7 @@ module Figures = Wl_netgen.Figures
 
 let line_instance () =
   let g = digraph_of_pairs 5 (List.init 4 (fun i -> (i, i + 1))) in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let p l = Dipath.make g l in
   (g, Instance.make dag [ p [ 0; 1; 2 ]; p [ 1; 2; 3 ]; p [ 3; 4 ] ])
 
@@ -32,7 +32,7 @@ let test_paths_through () =
 
 let test_empty_instance () =
   let g = digraph_of_pairs 3 [ (0, 1) ] in
-  let inst = Instance.make (Dag.of_digraph_exn g) [] in
+  let inst = Instance.make (dag_of_digraph g) [] in
   check_int "pi of empty" 0 (Load.pi inst);
   check "no max arcs" true (Load.max_load_arcs inst = [])
 
@@ -113,7 +113,7 @@ let line_conflict_graphs_are_perfectish =
   qtest "on lines: chromatic = clique = pi" seed_gen ~count:30 (fun seed ->
       let rng = Wl_util.Prng.create seed in
       let g = digraph_of_pairs 14 (List.init 13 (fun i -> (i, i + 1))) in
-      let dag = Dag.of_digraph_exn g in
+      let dag = dag_of_digraph g in
       let paths =
         List.init 10 (fun _ ->
             let lo = Wl_util.Prng.int rng 12 in

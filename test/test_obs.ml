@@ -334,11 +334,6 @@ let test_solver_counters_and_provenance () =
   let render stats =
     Format.asprintf "%a" (Solver.pp_report ~stats) report
   in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
-    at 0
-  in
   check "default report has no provenance" false
     (contains (render false) "(from ");
   check "stats report names the bound source" true
@@ -494,11 +489,6 @@ let test_openmetrics_exemplar_syntax () =
       ~latencies:[ ("engine.session.add.ns", Wl_obs.Hdr.snapshot h) ]
       ~exemplars:[ ("engine.session.add.ns", Option.get (Wl_obs.Hdr.exemplar h)) ]
       []
-  in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
-    at 0
   in
   check "exemplar trace id rendered in hex" true
     (contains doc (Printf.sprintf "trace_id=\"%s\"" (Wl_obs.Ctx.hex 0xdeadbee)));

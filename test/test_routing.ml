@@ -12,7 +12,7 @@ let test_route_shortest_is_shortest () =
      old delegation to Dag.some_dipath, whose contract is "any dipath": the
      hop count is pinned. *)
   let g = digraph_of_pairs 5 [ (0, 1); (1, 4); (0, 2); (2, 3); (3, 4) ] in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   match Routing.route_shortest dag [ (0, 4) ] with
   | Ok [ p ] -> check_int "two hops" 2 (Dipath.n_arcs p)
   | _ -> Alcotest.fail "routing failed"
@@ -22,7 +22,7 @@ let test_shortest_is_lex_smallest () =
      1 in the adjacency list, but shortest_dipath must still pick the
      lexicographically smaller vertex sequence 0,1,4. *)
   let g = digraph_of_pairs 5 [ (0, 3); (3, 4); (0, 1); (1, 4) ] in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   match Routing.shortest_dipath dag 0 4 with
   | Some p -> check "lex smallest" true (Dipath.vertices p = [ 0; 1; 4 ])
   | None -> Alcotest.fail "routable"
@@ -34,7 +34,7 @@ let astring_contains s sub =
 
 let test_unroutable_reported () =
   let g = digraph_of_pairs 3 [ (0, 1) ] in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   (match Routing.route_shortest dag [ (0, 1); (1, 2) ] with
   | Error (Error.Invalid_path msg as e) ->
     check "names the position" true
@@ -51,7 +51,7 @@ let test_min_load_spreads () =
   (* Two parallel two-hop routes; four identical requests must split 2/2,
      keeping the load at 2 instead of 4. *)
   let g = digraph_of_pairs 6 [ (0, 1); (1, 5); (0, 2); (2, 5); (0, 3); (3, 5) ] in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let requests = List.init 6 (fun _ -> (0, 5)) in
   match Routing.instance_of dag Routing.route_min_load requests with
   | Error e -> Alcotest.failf "routing failed: %s" (Error.to_string e)
@@ -96,7 +96,7 @@ let test_min_load_beats_shortest_on_hotspot () =
     digraph_of_pairs 7
       [ (0, 1); (1, 6); (0, 2); (2, 3); (3, 6); (0, 4); (4, 5); (5, 6) ]
   in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let requests = List.init 6 (fun _ -> (0, 6)) in
   match
     ( Routing.instance_of dag Routing.route_shortest requests,
@@ -208,7 +208,7 @@ let test_select_beats_seed_on_hotspot () =
     digraph_of_pairs 7
       [ (0, 1); (1, 6); (0, 2); (2, 3); (3, 6); (0, 4); (4, 5); (5, 6) ]
   in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let requests = List.init 6 (fun _ -> (0, 6)) in
   match Routing.select ~k:4 dag requests with
   | Error e -> Alcotest.failf "select failed: %s" (Error.to_string e)
@@ -221,7 +221,7 @@ let test_select_beats_seed_on_hotspot () =
 
 let test_select_nonpositive_k () =
   let g = digraph_of_pairs 3 [ (0, 1); (1, 2) ] in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   List.iter
     (fun k ->
       match Routing.select ~k dag [ (0, 2) ] with
@@ -234,7 +234,7 @@ let test_select_nonpositive_k () =
 
 let test_select_bad_index () =
   let g = digraph_of_pairs 3 [ (0, 1); (1, 2) ] in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   match Routing.select dag [ (0, 7) ] with
   | Error (Error.Bad_index { index = 7; _ } as e) ->
     check_int "Bad_index exit code" 68 (Error.exit_code e)
@@ -244,7 +244,7 @@ let test_lower_bound_forced_arc () =
   (* A bridge arc every request must cross: volume bound is 1 but the
      forced-arc bound sees all three requests. *)
   let g = digraph_of_pairs 6 [ (0, 2); (1, 2); (2, 3); (3, 4); (3, 5) ] in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   check_int "forced bridge" 3
     (Routing.lower_bound dag [ (0, 4); (1, 5); (0, 5) ])
 
@@ -540,7 +540,7 @@ let test_lower_bound_saturated () =
   in
   let a = block () and b = block () in
   ignore (Digraph.add_arc g a.(layers - 1).(0) b.(0).(0));
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let far = (a.(0).(0), b.(layers - 1).(0)) in
   let near = (a.(layers - 1).(0), b.(1).(2)) in
   check "far total saturates" true
@@ -581,7 +581,7 @@ let test_unique_on_upp () =
 
 let test_multicast () =
   let g = digraph_of_pairs 5 [ (0, 1); (0, 2); (1, 3) ] in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   check "multicast requests" true
     (List.sort compare (Routing.multicast dag 0) = [ (0, 1); (0, 2); (0, 3) ]);
   check "multicast from leaf" true (Routing.multicast dag 4 = [])
@@ -608,7 +608,7 @@ let multicast_tree_equality =
 
 let test_multicast_tree_counts () =
   let g = digraph_of_pairs 6 [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ] in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let paths = Routing.route_multicast_tree dag 0 in
   check_int "one route per reachable vertex" 4 (List.length paths);
   List.iter (fun p -> check_int "starts at root" 0 (Dipath.src p)) paths;

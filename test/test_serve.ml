@@ -468,6 +468,20 @@ let test_ctx_on_the_wire () =
       | _ -> Alcotest.failf "%s: oversized ctx id not a Parse error" tag)
     [ false; true ]
 
+(* A duplicated ctx field is a protocol error in either encoding
+   (proto.mli): neither form may settle for one of the two values. *)
+let test_duplicated_ctx () =
+  List.iter
+    (fun frame ->
+      match Proto.decode_request_ctx frame with
+      | Error (Error.Parse _) -> ()
+      | Ok _ -> Alcotest.failf "duplicated ctx accepted: %S" frame
+      | Error e -> Alcotest.failf "%S: not a Parse error: %s" frame (Error.to_string e))
+    [
+      "wlrpc 1 ctx=1:2 ctx=3:4 ping\n";
+      {|{"wlrpc": 1, "ctx": "1:2", "ctx": "3:4", "verb": "ping"}|};
+    ]
+
 (* --- daemon introspection ----------------------------------------------------- *)
 
 let with_memory_trace f =
@@ -935,6 +949,8 @@ let suite =
         Alcotest.test_case "loopback client" `Quick test_loopback;
         Alcotest.test_case "json loopback batch" `Quick test_loopback_json_and_batch;
         Alcotest.test_case "ctx on the wire" `Quick test_ctx_on_the_wire;
+        Alcotest.test_case "duplicated ctx is a Parse error" `Quick
+          test_duplicated_ctx;
         Alcotest.test_case "daemon introspection" `Quick test_introspection;
         Alcotest.test_case "traced call span tree" `Quick
           test_traced_call_span_tree;

@@ -1,6 +1,6 @@
 (* Bench trajectory store: summary statistics, the regression gate on
-   synthetic histories, JSONL round-trips, the /2 legacy reader, and the
-   dashboard's well-formedness check. *)
+   synthetic histories, JSONL round-trips, refusal of retired schemas, and
+   the dashboard's well-formedness check. *)
 
 open Helpers
 module Store = Wl_obs.Store
@@ -183,63 +183,29 @@ let test_load_missing_and_garbage () =
   (match Store.load "/nonexistent/wl_trajectory.jsonl" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file should be Error");
-  let path = Filename.temp_file "wl_store_test" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "{\"schema\":\"wavelength-bench-core/3\"}\nnot json\n";
-      close_out oc;
-      match Store.load path with
-      | Error m ->
-        check "garbage line located" true
-          (String.length m > 0
-          && String.sub m 0 (min 5 (String.length m)) = "line ")
-      | Ok _ -> Alcotest.fail "garbage line should be Error")
-
-(* --- /2 legacy reader ------------------------------------------------------ *)
-
-let legacy_v2 =
-  {|{
-  "schema": "wavelength-bench-core/2",
-  "command": "bench/main.exe -- perf --json",
-  "benches": [
-    {
-      "name": "thm1/color/n=400",
-      "n": 400,
-      "ns_per_op": 9000.0,
-      "baseline_ns_per_op": 15000.0,
-      "speedup": 1.66,
-      "warm_hit_rate": 0.75,
-      "counters": { "solver.kempe_cascades": 3 }
-    }
-  ]
-}|}
-
-let test_legacy_v2_reader () =
-  match Jsonx.parse legacy_v2 with
-  | Error m -> Alcotest.failf "fixture parse: %s" m
-  | Ok j -> (
-    match Store.of_json j with
-    | Error m -> Alcotest.failf "legacy reader: %s" m
-    | Ok e ->
-      (match e.Store.points with
-      | [ p ] ->
-        check "legacy name" true (p.Store.name = "thm1/color/n=400");
-        check_float "ns_per_op becomes median" 9000. p.Store.sample.Store.median_ns;
-        check_float "legacy mad is 0" 0. p.Store.sample.Store.mad_ns;
-        check_int "legacy runs is 1" 1 p.Store.sample.Store.runs;
-        check "baseline carried" true (p.Store.baseline_ns = Some 15000.);
-        check "int param lifted" true (List.mem_assoc "n" p.Store.params);
-        check "float extra lifted" true
-          (List.mem_assoc "warm_hit_rate" p.Store.extras);
-        check "speedup dropped (derivable)" true
-          (not (List.mem_assoc "speedup" p.Store.extras));
-        check "counters kept" true
-          (p.Store.counters = [ ("solver.kempe_cascades", Jsonx.Int 3) ])
-      | l -> Alcotest.failf "expected 1 legacy point, got %d" (List.length l));
-      check "command preserved in extra" true
-        (List.mem_assoc "command" e.Store.extra))
+  let load_text text =
+    let path = Filename.temp_file "wl_store_test" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc -> output_string oc text);
+        Store.load path)
+  in
+  (match load_text "{\"schema\":\"wavelength-bench-core/3\"}\nnot json\n" with
+  | Error m ->
+    check "garbage line located" true
+      (String.length m > 0
+      && String.sub m 0 (min 5 (String.length m)) = "line ")
+  | Ok _ -> Alcotest.fail "garbage line should be Error");
+  (* The retired single-measurement /2 shape is refused by name, not
+     read as a one-run sample. *)
+  match
+    load_text
+      {|{"schema":"wavelength-bench-core/2","benches":[{"name":"thm1/color/n=400","ns_per_op":9000.0}]}|}
+  with
+  | Error m ->
+    check "retired schema named" true (contains m "wavelength-bench-core/2")
+  | Ok _ -> Alcotest.fail "a /2 entry should be Error"
 
 (* --- dashboard well-formedness --------------------------------------------- *)
 
@@ -312,7 +278,6 @@ let suite =
           test_jsonl_append_load;
         Alcotest.test_case "load: missing file and garbage lines" `Quick
           test_load_missing_and_garbage;
-        Alcotest.test_case "/2 legacy reader" `Quick test_legacy_v2_reader;
         Alcotest.test_case "HTML report renders and checks" `Quick
           test_html_report_check;
         Alcotest.test_case "terminal report renders" `Quick

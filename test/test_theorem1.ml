@@ -19,7 +19,7 @@ let optimal_on inst =
 
 let test_empty_and_trivial () =
   let g = digraph_of_pairs 2 [ (0, 1) ] in
-  let dag = Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   check "empty family" true (Theorem1.color (Instance.make dag []) = [||]);
   let p = Dipath.make g [ 0; 1 ] in
   let inst = Instance.make dag [ p; p; p ] in
@@ -46,14 +46,14 @@ let theorem1_in_trees =
     (fun seed ->
       let rng = Prng.create seed in
       let tree = Generators.random_rooted_tree rng 25 in
-      let dag = Dag.of_digraph_exn (Digraph.reverse (Dag.graph tree)) in
+      let dag = dag_of_digraph (Digraph.reverse (Dag.graph tree)) in
       optimal_on (Path_gen.random_instance rng dag 18))
 
 let theorem1_lines =
   qtest "w = pi on lines (interval instances)" seed_gen ~count:40 (fun seed ->
       let rng = Prng.create seed in
       let g = digraph_of_pairs 20 (List.init 19 (fun i -> (i, i + 1))) in
-      let dag = Dag.of_digraph_exn g in
+      let dag = dag_of_digraph g in
       let paths =
         List.init 15 (fun _ ->
             let lo = Prng.int rng 18 in

@@ -9,7 +9,7 @@ module Prng = Wl_util.Prng
 module Figures = Wl_netgen.Figures
 module Generators = Wl_netgen.Generators
 
-let dag_of arcs n = Dag.of_digraph_exn (digraph_of_pairs n arcs)
+let dag_of arcs n = dag_of_digraph (digraph_of_pairs n arcs)
 
 let test_diamond_not_upp () =
   let d = dag_of [ (0, 1); (0, 2); (1, 3); (2, 3) ] 4 in
@@ -37,7 +37,7 @@ let test_figures_upp () =
 
 let upp_matches_enumeration =
   qtest "is_upp agrees with brute-force enumeration" seed_gen (fun seed ->
-      let d = Dag.of_digraph_exn (gnp_dag seed 10 0.25) in
+      let d = dag_of_digraph (gnp_dag seed 10 0.25) in
       let brute =
         let ok = ref true in
         for x = 0 to 9 do
@@ -53,7 +53,7 @@ let upp_matches_enumeration =
 let violation_paths_are_real =
   qtest "violation witnesses are distinct same-endpoint dipaths" seed_gen
     (fun seed ->
-      let d = Dag.of_digraph_exn (gnp_dag seed 12 0.3) in
+      let d = dag_of_digraph (gnp_dag seed 12 0.3) in
       match Upp.find_violation d with
       | None -> Upp.is_upp d
       | Some v ->
@@ -76,7 +76,7 @@ let upp_one_cycle_generator =
 let routable_pairs_match_reachability =
   qtest "routable_pairs = reachable ordered pairs" seed_gen (fun seed ->
       let g = gnp_dag seed 10 0.25 in
-      let d = Dag.of_digraph_exn g in
+      let d = dag_of_digraph g in
       let pairs = Upp.routable_pairs d in
       let expected = ref [] in
       for x = 9 downto 0 do

@@ -70,7 +70,7 @@ let test_k23_realizable_without_upp () =
   let g =
     digraph_of_pairs 7 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6) ]
   in
-  let dag = Wl_dag.Dag.of_digraph_exn g in
+  let dag = dag_of_digraph g in
   let p l = Dipath.make g l in
   (* 2-side: two copies of the full chain (a multiset family); 3-side:
      three disjoint single arcs of it. *)
