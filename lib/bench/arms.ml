@@ -154,11 +154,11 @@ let engine_arm n =
    solvable instance.  The achieved bounds ride along as extras so the
    trajectory records not just how fast the stage is but how good its
    routing was (seed vs final vs lower bound). *)
-let route_arm (dag, requests) =
+let route_arm ?(family = "route") (dag, requests) =
   let n = Wl_dag.Dag.n_vertices dag in
   let last = ref None in
   {
-    name = Printf.sprintf "route/n=%d" n;
+    name = Printf.sprintf "%s/n=%d" family n;
     params = [ ("n", n); ("requests", List.length requests); ("k", 4) ];
     run =
       (fun () ->
@@ -184,6 +184,15 @@ let route_network n =
   let rng = Prng.create (20260808 + n) in
   let dag = Generators.gnp_no_internal_cycle rng n (8.0 /. float_of_int n) in
   (dag, Wl_netgen.Traffic.uniform rng dag (n / 8))
+
+(* A dense network with internal cycles, in the shape of the route_dense
+   test fixture (n = 60, p = 0.12 is that fixture): many requests have
+   several dipaths, so Yen, the seed's ties and the local search all do
+   work the sparse network above never asks of them. *)
+let route_dense_network n p requests =
+  let rng = Prng.create 13 in
+  let dag = Generators.gnp_dag rng n p in
+  (dag, Wl_netgen.Traffic.uniform rng dag requests)
 
 (* What a `wl route` op does before routing: read the route arm's
    network and requests back from their text forms. *)
@@ -241,7 +250,11 @@ let suite ?(quick = false) () =
     ]
     @
     let net = route_network 120 in
-    [ route_arm net; parse_arm net ]
+    [
+      route_arm net;
+      route_arm ~family:"route-dense" (route_dense_network 60 0.12 80);
+      parse_arm net;
+    ]
   else
     [
       thm1_arm 400;
@@ -254,7 +267,11 @@ let suite ?(quick = false) () =
     ]
     @
     let net = route_network 1600 in
-    [ route_arm net; parse_arm net ]
+    [
+      route_arm net;
+      route_arm ~family:"route-dense" (route_dense_network 400 0.05 200);
+      parse_arm net;
+    ]
 
 let busy_wait ns =
   let t0 = Wl_obs.Clock.now_ns () in

@@ -48,15 +48,19 @@ let collect_routes route requests =
 
 (* --- per-call scratch ---------------------------------------------------------
 
-   Every kernel below sweeps topological positions [pos src .. pos dst]
-   of the dag's flat adjacency ({!Dag.csr}): only those vertices can lie
-   on a src-dst dipath.  Their working arrays live in one record that
-   each public entry point allocates for itself (select: once for all
-   its requests), so the module holds no mutable state of its own and
-   two domains may route over one dag at once.  Every sweep takes a
+   Only vertices at topological positions [pos src .. pos dst] of the
+   dag's flat adjacency ({!Dag.csr}) can lie on a src-dst dipath, and the
+   kernels below visit no other.  Their working arrays live in one record
+   that each public entry point allocates for itself (select: once for
+   all its requests), so the module holds no mutable state of its own
+   and two domains may route over one dag at once.  Every sweep takes a
    fresh epoch, and a vertex is labelled in it iff [mark] holds that
-   epoch: nothing is cleared between sweeps, and a sweep touches only
-   the vertices it reaches. *)
+   epoch: nothing is cleared between sweeps.  The forward sweeps (seed,
+   bound) visit the positions they reach through [front], a frontier of
+   one bit per position, and touch only the vertices they reach. *)
+
+(* Positions per frontier word: 62 keeps every bit below the sign bit. *)
+let bits = 62
 
 type scratch = {
   c : Dag.csr;
@@ -64,7 +68,8 @@ type scratch = {
   mark : Flat.t;
   hops : Flat.t;  (* hops from the source (seed, bound) or to it (spur) *)
   bott : Flat.t;  (* seed: bottleneck load *)
-  queue : Flat.t;  (* spur: BFS queue *)
+  front : Flat.t;  (* seed, bound: the frontier, 62 positions a word *)
+  queue : Flat.t;  (* spur: BFS queue; bound: the forward sweep's visits *)
   path : Flat.t;  (* spur: the route under construction *)
   fwd : Saturating.t array;  (* bound: #dipaths from x *)
   rev : Saturating.t array;  (* bound: #dipaths to y *)
@@ -79,6 +84,7 @@ type scratch = {
 let scratch ?(seed = false) ?(spur = false) ?(bound = false) d =
   let n = max 1 (Dag.n_vertices d) and m = max 1 (Dag.n_arcs d) in
   let flat on = Flat.create (if on then n else 0) in
+  let words = if seed || bound then (n + bits - 1) / bits else 0 in
   let counts on =
     if on then Array.make n Saturating.zero (* alloc-ok: per-call scratch *) else [||]
   in
@@ -88,7 +94,8 @@ let scratch ?(seed = false) ?(spur = false) ?(bound = false) d =
     mark = flat true;
     hops = flat true;
     bott = flat seed;
-    queue = flat spur;
+    front = Flat.create words;
+    queue = flat (spur || bound);
     path = flat spur;
     fwd = counts bound;
     rev = counts bound;
@@ -110,6 +117,36 @@ let at (c : Dag.csr) i = c.order.!(i)
 let next_epoch scr =
   scr.epoch <- scr.epoch + 1;
   scr.epoch
+
+(* --- the frontier ------------------------------------------------------------
+
+   A forward sweep from [src] visits the positions it has reached in
+   increasing order: it pops the lowest set bit of [scr.front] (skip the
+   zero words, then count trailing zeros) and, as every arc leads to a
+   higher position, pushes only above it.  So the word cursor never moves
+   back, the sweep costs O(range / 62 + reached vertices + their arcs),
+   and it leaves the frontier empty for the next one.  Pushes stop short
+   of the sweep's last position, which is labelled but never expanded.
+   Both sweeps write the pop loop out: an iterator taking the vertex
+   visit as a closure would allocate that closure per request. *)
+
+(* Count trailing zeros by de Bruijn multiplication: the top six bits of
+   the 63-bit product of [0x03f79d71b4cb0a89] with each of the 62
+   single-bit words are distinct, and [ctz_of] maps them back. *)
+let de_bruijn = 0x03f79d71b4cb0a89
+
+let ctz_of =
+  let t = Array.make 64 0 (* alloc-ok: module init *) in
+  for k = 0 to bits - 1 do
+    t.(((1 lsl k) * de_bruijn) lsr 57) <- k
+  done;
+  t
+
+let[@inline] ctz word = Array.unsafe_get ctz_of (((word land -word) * de_bruijn) lsr 57)
+
+let[@inline] push (front : Flat.t) p =
+  let w = p / bits in
+  front.!(w) <- front.!(w) lor (1 lsl (p - (w * bits)))
 
 (* The route in [scr.path.(0 .. len)], as a vertex array and a dipath. *)
 let path_array scr len = Array.init (len + 1) (fun i -> scr.path.!(i)) (* alloc-ok: output *)
@@ -235,22 +272,30 @@ let seed_labels scr load src dst =
   else begin
     let ep = next_epoch scr in
     let mark = scr.mark and bott = scr.bott and hops = scr.hops in
+    let front = scr.front in
     mark.!(src) <- ep;
     bott.!(src) <- 0;
     hops.!(src) <- 0;
-    for i = ps to pd - 1 do
-      let u = at c i in
-      if mark.!(u) = ep then begin
+    push front ps;
+    let cur = ref (ps / bits) and last = (pd - 1) / bits in
+    while !cur <= last do
+      let word = front.!(!cur) in
+      if word = 0 then incr cur
+      else begin
+        front.!(!cur) <- word land (word - 1);
+        let u = at c ((!cur * bits) + ctz word) in
         let bu = bott.!(u) and h = hops.!(u) + 1 in
         for s = c.out_off.!(u) to c.out_off.!(u + 1) - 1 do
           let w = c.out_dst.!(s) in
-          if pos c w <= pd then begin
+          let pw = pos c w in
+          if pw <= pd then begin
             let l = load.(c.out_arc.!(s)) in
             let b = if l > bu then l else bu in
             if mark.!(w) <> ep then begin
               mark.!(w) <- ep;
               bott.!(w) <- b;
-              hops.!(w) <- h
+              hops.!(w) <- h;
+              if pw < pd then push front pw
             end
             else if b < bott.!(w) || (b = bott.!(w) && h < hops.!(w)) then begin
               bott.!(w) <- b;
@@ -441,37 +486,51 @@ let k_shortest ?(k = 8) d src dst =
    total conservatively reads as "nothing forced", which only weakens the
    bound, never invalidates it.
 
-   Per request, one forward sweep over positions [pos x .. pos y] pushes
-   f = #paths(x, .) and the hop distance along the out-arcs of the
-   vertices x reaches, then one reverse sweep over those same vertices
-   gathers g = #paths(., y) and counts the forced arcs among their
-   out-arcs — node values pushed along a DAG in topological order.  No
-   other vertex can carry an x-y dipath, and when the total is
-   unsaturated so is every f(u) and g(v) on one. *)
+   Per request, one forward sweep from x over the frontier pushes f =
+   #paths(x, .) and the hop distance along the out-arcs of the vertices
+   x reaches before pos y, then one reverse sweep over those same
+   vertices, in the opposite order, gathers g = #paths(., y) and counts
+   the forced arcs among their out-arcs — node values pushed along a DAG
+   in topological order.  No other vertex can carry an x-y dipath, and
+   when the total is unsaturated so is every f(u) and g(v) on one.  The
+   total f(y) is the request's dipath count, which select reads to skip
+   Yen where there is exactly one. *)
 
-(* Adds the request's forced arcs to [scr.forced]; its hop distance, or
-   0 when [y] is unreachable. *)
+(* Adds the request's forced arcs to [scr.forced]; its dipath count,
+   zero when [y] is unreachable.  When the count is not zero, [scr.hops]
+   holds [y]'s hop distance. *)
 let bound_request scr x y =
   let c = scr.c in
   let px = pos c x and py = pos c y in
-  if py <= px then 0
+  if py <= px then Saturating.zero
   else begin
     let ep = next_epoch scr in
     let mark = scr.mark and f = scr.fwd and g = scr.rev and hops = scr.hops in
+    let front = scr.front and seen = scr.queue in
     mark.!(x) <- ep;
     f.(x) <- Saturating.one;
     hops.!(x) <- 0;
-    for i = px to py - 1 do
-      let u = at c i in
-      if mark.!(u) = ep then begin
+    push front px;
+    let n_seen = ref 0 in
+    let cur = ref (px / bits) and last = (py - 1) / bits in
+    while !cur <= last do
+      let word = front.!(!cur) in
+      if word = 0 then incr cur
+      else begin
+        front.!(!cur) <- word land (word - 1);
+        let u = at c ((!cur * bits) + ctz word) in
+        seen.!(!n_seen) <- u;
+        incr n_seen;
         let fu = f.(u) and h = hops.!(u) + 1 in
         for s = c.out_off.!(u) to c.out_off.!(u + 1) - 1 do
           let w = c.out_dst.!(s) in
-          if pos c w <= py then
+          let pw = pos c w in
+          if pw <= py then
             if mark.!(w) <> ep then begin
               mark.!(w) <- ep;
               f.(w) <- fu;
-              hops.!(w) <- h
+              hops.!(w) <- h;
+              if pw < py then push front pw
             end
             else begin
               f.(w) <- Saturating.add f.(w) fu;
@@ -480,44 +539,46 @@ let bound_request scr x y =
         done
       end
     done;
-    if mark.!(y) <> ep then 0
+    if mark.!(y) <> ep then Saturating.zero
     else begin
       let total = f.(y) in
       if not (Saturating.is_saturated total) then begin
         g.(y) <- Saturating.one;
-        for i = py - 1 downto px do
-          let v = at c i in
-          if mark.!(v) = ep then begin
-            let fv = f.(v) and gv = ref Saturating.zero in
-            for s = c.out_off.!(v) to c.out_off.!(v + 1) - 1 do
-              let w = c.out_dst.!(s) in
-              if pos c w <= py then begin
-                gv := Saturating.add !gv g.(w);
-                if Saturating.equal (Saturating.mul fv g.(w)) total then begin
-                  let a = c.out_arc.!(s) in
-                  scr.forced.(a) <- scr.forced.(a) + 1
-                end
+        for i = !n_seen - 1 downto 0 do
+          let v = seen.!(i) in
+          let fv = f.(v) and gv = ref Saturating.zero in
+          for s = c.out_off.!(v) to c.out_off.!(v + 1) - 1 do
+            let w = c.out_dst.!(s) in
+            if pos c w <= py then begin
+              gv := Saturating.add !gv g.(w);
+              if Saturating.equal (Saturating.mul fv g.(w)) total then begin
+                let a = c.out_arc.!(s) in
+                scr.forced.(a) <- scr.forced.(a) + 1
               end
-            done;
-            g.(v) <- !gv
-          end
+            end
+          done;
+          g.(v) <- !gv
         done
       end;
-      hops.!(y)
+      total
     end
   end
 
-(* Once per scratch: [scr.forced] accumulates from zero. *)
-let bound_with scr d requests =
+(* Once per scratch: [scr.forced] accumulates from zero.  When [counts]
+   has a cell per request, each request's dipath count lands in it. *)
+let bound_with scr d requests counts =
   let n = Dag.n_vertices d and m = Dag.n_arcs d in
   if requests = [] || m = 0 then 0
   else
     Trace.with_span "routing.bound" @@ fun () ->
     let total_hops = ref 0 in
-    List.iter
-      (fun (x, y) ->
-        if x >= 0 && x < n && y >= 0 && y < n then
-          total_hops := !total_hops + bound_request scr x y)
+    List.iteri
+      (fun i (x, y) ->
+        if x >= 0 && x < n && y >= 0 && y < n then begin
+          let paths = bound_request scr x y in
+          if i < Array.length counts then counts.(i) <- paths;
+          if Saturating.to_int paths > 0 then total_hops := !total_hops + scr.hops.!(y)
+        end)
       requests;
     let forced_max = ref 0 in
     for a = 0 to m - 1 do
@@ -525,9 +586,9 @@ let bound_with scr d requests =
     done;
     max ((!total_hops + m - 1) / m) !forced_max
 
-let lower_bound d requests = bound_with (scratch ~bound:true d) d requests
+let lower_bound d requests = bound_with (scratch ~bound:true d) d requests [||]
 
-(* --- the full routing stage: enumerate, seed, search ------------------------ *)
+(* --- the full routing stage: count, enumerate, seed, search ----------------- *)
 
 type selection = {
   requests : request array;
@@ -566,29 +627,38 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
   | Error e -> Error e
   | Ok () -> (
     let scr = scratch ~seed:true ~spur:true ~bound:true d in
-    (* Phase 1: k alternatives per request (Yen, deterministic). *)
+    (* Phase 1: the bound, whose forward sweeps count each request's
+       dipaths. *)
+    let paths = Array.make nr Saturating.zero (* alloc-ok: per-call scratch *) in
+    let lb = bound_with scr d requests paths in
+    (* Phase 2: k alternatives per request (Yen, deterministic).  A
+       request with one dipath needs no enumeration: the seed below is
+       that dipath, and it joins the empty set as the only alternative. *)
     let alts = Array.make nr [||] (* alloc-ok: per-call scratch *) in
     let failure = ref None in
     Trace.with_span "routing.kshortest" (fun () ->
         Array.iteri
           (fun i (x, y) ->
-            if !failure = None then begin
+            if !failure <> None then ()
+            else if Saturating.equal paths.(i) Saturating.one then
+              Metrics.observe h_alternatives 1
+            else
               match yen scr ~k x y with
               | [] ->
                 Metrics.incr c_unroutable;
                 failure := Some (unroutable ~index:i (x, y))
               | l ->
                 Metrics.observe h_alternatives (List.length l);
-                alts.(i) <- Array.of_list (List.map (Dipath.of_vertex_array g) l) (* alloc-ok: output *)
-            end)
+                alts.(i) <- Array.of_list (List.map (Dipath.of_vertex_array g) l) (* alloc-ok: output *))
           reqs);
     match !failure with
     | Some e -> Error e
     | None ->
-      (* Phase 2: greedy seed by the bottleneck labels.  The seed route
-         joins the request's alternative set when Yen's cutoff missed it,
-         so the search space always contains the seed.  Routes from one
-         source are equal iff their arc sequences are. *)
+      (* Phase 3: greedy seed by the bottleneck labels.  The seed route
+         joins the request's alternative set when Yen's cutoff missed it
+         or Yen was skipped, so the search space always contains the
+         seed.  Routes from one source are equal iff their arc sequences
+         are. *)
       let load = Array.make (max 1 m) 0 (* alloc-ok: per-call scratch *) in
       let chosen = Array.make nr 0 (* alloc-ok: per-call scratch *) in
       Trace.with_span "routing.seed" (fun () ->
@@ -639,7 +709,7 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
           decr cur_max
         done
       in
-      (* Phase 3: local search.  A swap is kept only when it strictly
+      (* Phase 4: local search.  A swap is kept only when it strictly
          lowers (max load, #arcs at max) — strict descent terminates and
          guarantees max_load <= seed_load. *)
       let swaps = ref 0 in
@@ -676,7 +746,6 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
       let n_alternatives =
         Array.fold_left (fun acc a -> acc + Array.length a) 0 alts
       in
-      let lb = bound_with scr d requests in
       Metrics.observe_ns l_select (Clock.now_ns () - t0);
       Ok
         {

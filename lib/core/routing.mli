@@ -82,9 +82,10 @@ val bottleneck_path :
     label that is smallest by (label, vertex id).  The hop component only
     breaks ties between labels (one label per vertex cannot certify
     hop-minimality among min-bottleneck paths); the bottleneck value
-    itself is exact.  O(arcs leaving the vertices [src] reaches within
-    that range), plus one pass over the range.  [load] is indexed by arc
-    id and is not modified.  [None] when [dst] is unreachable or
+    itself is exact.  The sweep visits only the vertices [src] reaches
+    within that range, through a frontier of one bit per position:
+    O(range / 62 + those vertices + their out-arcs).  [load] is indexed
+    by arc id and is not modified.  [None] when [dst] is unreachable or
     [src = dst].  This is the greedy seeding rule of {!select}. *)
 
 val compare_route : Dipath.t -> Dipath.t -> int
@@ -115,13 +116,14 @@ val lower_bound : Wl_dag.Dag.t -> request list -> int
        dipaths traverse one common arc (detected by saturating path
        counting; a saturated count conservatively reads as avoidable).}}
 
-    Computed per request by range sweeps over the topological positions
-    between its endpoints: a forward sweep from [x] (dipath counts
-    [f(x, .)] and hop distances, over the vertices [x] reaches) and a
-    reverse sweep over the same vertices (counts [g(., y)], and the arcs
-    with [f(x, u) * g(v, y) = f(x, y)], which are forced).  The tables
-    are allocated once per call and reused across requests, so the
-    allocation does not grow with the number of requests.
+    Computed per request by two sweeps over the vertices [x] reaches
+    before [y] in topological order: a forward sweep from [x] (dipath
+    counts [f(x, .)] and hop distances), driven by a frontier of one bit
+    per position so that it costs O(range / 62 + reached vertices + their
+    arcs), and a reverse sweep over the same vertices (counts [g(., y)],
+    and the arcs with [f(x, u) * g(v, y) = f(x, y)], which are forced).
+    The tables are allocated once per call and reused across requests, so
+    the allocation does not grow with the number of requests.
 
     Unroutable requests contribute nothing (the bound stays valid for the
     routable sub-multiset). *)
@@ -148,14 +150,23 @@ val select :
   Wl_dag.Dag.t ->
   request list ->
   (selection, Error.t) result
-(** The full routing stage: enumerate [k] alternatives per request
-    ({!k_shortest}), seed greedily with {!bottleneck_path} (the seed route
-    joins the request's alternative set when Yen's cutoff missed it), then
-    local search: sweep the requests, re-routing single requests onto an
-    alternative whenever that strictly lowers (max arc load, number of arcs
-    attaining it); stop after a sweep with no improvement or [max_rounds]
-    (default 64) sweeps.  Strict descent guarantees
-    [max_load <= seed_load].  Deterministic.  Errors: [Precondition] for
+(** The full routing stage, in four phases:
+    {ol
+    {- the {!lower_bound}, whose forward sweeps also count each request's
+       dipaths;}
+    {- enumerate [k] alternatives per request ({!k_shortest}), except for
+       a request with exactly one dipath, which has nothing to enumerate;}
+    {- seed greedily with {!bottleneck_path}: the seed route joins the
+       request's alternative set when Yen's cutoff missed it, and is the
+       whole set of a one-dipath request, exactly as Yen would have
+       returned it;}
+    {- local search: sweep the requests, re-routing single requests onto
+       an alternative whenever that strictly lowers (max arc load, number
+       of arcs attaining it); stop after a sweep with no improvement or
+       [max_rounds] (default 64) sweeps.}}
+    Strict descent guarantees [max_load <= seed_load].  Deterministic, and
+    the selection is the one Yen-for-every-request would make, field for
+    field.  Errors: [Precondition] for
     [k <= 0], [Bad_index] for a request vertex outside the graph,
     [Invalid_path] for an unroutable request (including [x = y]). *)
 

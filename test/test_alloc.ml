@@ -151,6 +151,20 @@ let test_lower_bound_alloc_per_call () =
     true
     (w400 -. w200 < 1000.)
 
+(* The fence under that bound: each request's sweeps run on the
+   frontier and tables of the call's scratch, so 400 requests cost
+   exactly the minor words of 200. *)
+let test_lower_bound_alloc_per_request () =
+  let rng = Wl_util.Prng.create 12 in
+  let dag = Wl_netgen.Generators.gnp_no_internal_cycle rng 400 (8.0 /. 400.) in
+  let requests k = Wl_core.Routing.random_requests rng dag k in
+  let r200 = requests 200 and r400 = requests 400 in
+  let bound r () = ignore (Wl_core.Routing.lower_bound dag r) in
+  bound r200 ();
+  let w200 = minor_delta (bound r200) in
+  check_float "400 requests allocate the minor words of 200" w200
+    (minor_delta (bound r400))
+
 (* Reading an instance text costs no minor words per arc line: the
    scanner walks the text in place and the arcs go to int arrays.  The
    figure is the difference between a 2m-arc and an m-arc text on the
@@ -262,6 +276,8 @@ let suite =
           test_engine_warm_ops_zero_alloc;
         Alcotest.test_case "routing lower bound allocates per call" `Quick
           test_lower_bound_alloc_per_call;
+        Alcotest.test_case "routing lower bound allocates nothing per request"
+          `Quick test_lower_bound_alloc_per_request;
         Alcotest.test_case "serial reader words per arc line" `Quick
           test_serial_words_per_arc_line;
         Alcotest.test_case "gate flags alloc regressions" `Quick

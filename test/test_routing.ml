@@ -447,6 +447,112 @@ module Ref = struct
         requests;
       max ((hops + m - 1) / m) (Array.fold_left max 0 forced)
     end
+
+  (* The routing stage as it ran before it counted dipaths first: Yen for
+     every request, then the bottleneck seed, the local search with the
+     objective recomputed from the loads, and the bound last. *)
+  let select ?(max_rounds = 64) ~k d requests =
+    let g = Dag.graph d in
+    let n = Digraph.n_vertices g and m = Digraph.n_arcs g in
+    let reqs = Array.of_list requests in
+    let nr = Array.length reqs in
+    let unroutable i (x, y) =
+      Error.Invalid_path
+        (Printf.sprintf "request (%d, %d) (position %d) is not routable" x y i)
+    in
+    let bad =
+      List.find_map
+        (fun (x, y) ->
+          if x < 0 || x >= n then
+            Some (Error.Bad_index { what = "request source vertex"; index = x })
+          else if y < 0 || y >= n then
+            Some (Error.Bad_index { what = "request destination vertex"; index = y })
+          else None)
+        requests
+    in
+    let rec enumerate i acc =
+      if i = nr then Ok (Array.of_list (List.rev acc))
+      else
+        let x, y = reqs.(i) in
+        match k_shortest ~k d x y with
+        | [] -> Error (unroutable i (x, y))
+        | l -> enumerate (i + 1) (Array.of_list l :: acc)
+    in
+    if k <= 0 then
+      Error (Error.Precondition (Printf.sprintf "select: k = %d, need k >= 1" k))
+    else
+      match bad with
+      | Some e -> Error e
+      | None -> (
+        match enumerate 0 [] with
+        | Error e -> Error e
+        | Ok alts ->
+          let load = Array.make (max 1 m) 0 in
+          let charge p delta =
+            List.iter (fun a -> load.(a) <- load.(a) + delta) (Dipath.arcs p)
+          in
+          let chosen =
+            Array.mapi
+              (fun i (x, y) ->
+                let p = Option.get (bottleneck_path d load x y) in
+                let j =
+                  match
+                    List.find_opt
+                      (fun j -> Dipath.arcs alts.(i).(j) = Dipath.arcs p)
+                      (List.init (Array.length alts.(i)) Fun.id)
+                  with
+                  | Some j -> j
+                  | None ->
+                    alts.(i) <- Array.append alts.(i) [| p |];
+                    Array.length alts.(i) - 1
+                in
+                charge alts.(i).(j) 1;
+                j)
+              reqs
+          in
+          let objective () =
+            let top = Array.fold_left max 0 load in
+            (top, Array.fold_left (fun c l -> if l = top then c + 1 else c) 0 load)
+          in
+          let seed_load = fst (objective ()) in
+          let swaps = ref 0 and rounds = ref 0 and improved = ref true in
+          while !improved && !rounds < max_rounds do
+            improved := false;
+            incr rounds;
+            Array.iteri
+              (fun i a ->
+                Array.iteri
+                  (fun j pj ->
+                    if j <> chosen.(i) then begin
+                      let before = objective () in
+                      charge a.(chosen.(i)) (-1);
+                      charge pj 1;
+                      if objective () < before then begin
+                        chosen.(i) <- j;
+                        incr swaps;
+                        improved := true
+                      end
+                      else begin
+                        charge pj (-1);
+                        charge a.(chosen.(i)) 1
+                      end
+                    end)
+                  a)
+              alts
+          done;
+          Ok
+            Routing.
+              {
+                requests = reqs;
+                routes = Array.mapi (fun i a -> a.(chosen.(i))) alts;
+                k;
+                n_alternatives = Array.fold_left (fun c a -> c + Array.length a) 0 alts;
+                seed_load;
+                max_load = fst (objective ());
+                lower_bound = lower_bound d requests;
+                swaps = !swaps;
+                rounds = !rounds;
+              })
 end
 
 let same_routes ps qs = List.equal Dipath.equal ps qs
@@ -523,6 +629,71 @@ let lower_bound_matches_reference =
             (Prng.int rng (n + 1), Prng.int rng (n + 1)))
       in
       Routing.lower_bound dag requests = Ref.lower_bound dag requests)
+
+let same_selection a b =
+  let open Routing in
+  a.requests = b.requests
+  && Array.length a.routes = Array.length b.routes
+  && Array.for_all2 Dipath.equal a.routes b.routes
+  && a.k = b.k
+  && a.n_alternatives = b.n_alternatives
+  && a.seed_load = b.seed_load
+  && a.max_load = b.max_load
+  && a.lower_bound = b.lower_bound
+  && a.swaps = b.swaps
+  && a.rounds = b.rounds
+
+let same_select_result a b =
+  match (a, b) with
+  | Ok a, Ok b -> same_selection a b
+  | Error e, Error f -> e = f
+  | _ -> false
+
+(* Routable requests, and in half the cases one that is not — an
+   unreachable pair, a routable pair reversed, or x = x — at a random
+   position, so both the selection and the first-unroutable error are
+   compared. *)
+let select_matches_reference =
+  qtest "select = Yen-for-every-request pipeline, field for field" seed_gen
+    ~count:60 (fun seed ->
+      let rng = Prng.create seed in
+      let dag = diff_dag rng in
+      let n = Dag.n_vertices dag in
+      let requests = Routing.random_requests rng dag (1 + Prng.int rng 20) in
+      let requests =
+        if requests = [] || Prng.bool rng then requests
+        else begin
+          let x, y = List.nth requests (Prng.int rng (List.length requests)) in
+          let bad =
+            match Prng.int rng 3 with
+            | 0 ->
+              let u = Prng.int rng n and v = Prng.int rng n in
+              if Dag.count_dipaths dag u v = Wl_util.Saturating.zero then (u, v) else (y, x)
+            | 1 -> (y, x)
+            | _ -> (x, x)
+          in
+          let at = Prng.int rng (List.length requests + 1) in
+          List.filteri (fun i _ -> i < at) requests
+          @ (bad :: List.filteri (fun i _ -> i >= at) requests)
+        end
+      in
+      let k = 1 + Prng.int rng 5 in
+      same_select_result (Routing.select ~k dag requests) (Ref.select ~k dag requests))
+
+(* A reversed request right after its routable twin: the dipath count of
+   (b, a) must come from its own sweep, not from the sweep before it. *)
+let test_select_reversed_after_routable () =
+  let g = digraph_of_pairs 3 [ (0, 1); (1, 2) ] in
+  let dag = dag_of_digraph g in
+  let requests = [ (0, 2); (2, 0) ] in
+  (match Routing.select dag requests with
+  | Error (Error.Invalid_path msg) ->
+    check "names position 1" true
+      (astring_contains msg "position 1" && astring_contains msg "(2, 0)")
+  | Error e -> Alcotest.failf "wrong error %s" (Error.to_string e)
+  | Ok _ -> Alcotest.fail "(2, 0) is not routable");
+  check "reference agrees" true
+    (same_select_result (Routing.select dag requests) (Ref.select ~k:8 dag requests))
 
 (* Two complete layered blocks joined by one bridge arc: across the
    bridge the dipath counts pass Saturating.cap, so those totals read as
@@ -678,6 +849,9 @@ let suite =
         seed_sequence_matches_reference;
         k_shortest_matches_reference;
         lower_bound_matches_reference;
+        select_matches_reference;
+        Alcotest.test_case "select: reversed request after its twin" `Quick
+          test_select_reversed_after_routable;
         Alcotest.test_case "lower bound with saturated counts" `Quick
           test_lower_bound_saturated;
         Alcotest.test_case "lower bound sees forced arc" `Quick
