@@ -26,7 +26,9 @@ val suite : ?quick:bool -> unit -> arm list
     one-domain sweep as the baseline arm; a failing seed raises), the
     full routing stage ([route/n=...]: {!Wl_core.Routing.select} over a
     fixed uniform request set, with the seed/final/lower-bound loads as
-    extras) and its parse stage ([parse/n=...]:
+    extras; [route-dense/n=...] the same on a dense [gnp_dag] with
+    internal cycles, where Yen and the local search do real work) and
+    its parse stage ([parse/n=...]:
     {!Wl_core.Serial.of_string} and {!Wl_core.Routing.requests_of_string}
     on the same network and requests as text).  [quick] (default false)
     switches to smaller instances under different bench names — for

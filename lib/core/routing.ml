@@ -132,7 +132,8 @@ let next_epoch scr =
 
 (* Count trailing zeros by de Bruijn multiplication: the top six bits of
    the 63-bit product of [0x03f79d71b4cb0a89] with each of the 62
-   single-bit words are distinct, and [ctz_of] maps them back. *)
+   single-bit words are distinct, and [ctz_of] maps them back.  Defined
+   here rather than in [Bitset] so that it inlines into the sweeps. *)
 let de_bruijn = 0x03f79d71b4cb0a89
 
 let ctz_of =
